@@ -265,7 +265,7 @@ def _cmd_mc_experiment(args) -> int:
         if args.tree is None:
             raise ValueError("averaging needs --tree, --labels, --aux and --whole")
         tree = _load_tree(args.tree)
-        report = mc.averaging_experiment(
+        report = integrands.averaging_experiment(
             tree,
             args.labels,
             args.aux,

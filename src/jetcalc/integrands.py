@@ -24,7 +24,8 @@ The harmonic twist at order k replaces the auxiliary scale by H_k/(k r)
 with H_k = 1 + 1/2 + ... + 1/k, and expands the coordinates to the
 block-weighted simplex (each base label repeated with weights 1..k); the
 jet bound coefficient multiplies its integral at index cap 1 by
-binom(n+kr-1, kr-1) / (k!)^r.
+binom(n+kr-1, kr-1) / (k!)^r, and the averaging experiment compares the
+scaled twisted integrals with the truncated degree of the whole label.
 """
 
 from __future__ import annotations
@@ -37,10 +38,16 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
+from .ring import Scalar
 from .simplex import AffineForm, SimplexSpec, affine_product_expectation
-from .strat import ChildEdge, Leaf, Node, StratTree, assignment_max
-
-Scalar = int | Fraction
+from .strat import (
+    ChildEdge,
+    StratTree,
+    assignment_max,
+    degree_truncated,
+    truncated_sum,
+    validate_product_trivialization,
+)
 
 
 class MixedSignError(ValueError):
@@ -49,6 +56,10 @@ class MixedSignError(ValueError):
 
 class MissingTwistError(ValueError):
     """The problem carries no auxiliary twist label."""
+
+
+class InvalidTrivializationError(ValueError):
+    """The tree's whole-bundle markings are not the sum of parts plus twist."""
 
 
 @dataclass(frozen=True)
@@ -98,20 +109,9 @@ def _eval(
     if len(t) != prob.arity:
         raise ValueError(f"point arity {len(t)} != problem arity {prob.arity}")
     point = [Fraction(x) for x in t]
-    total = Fraction(0)
-    for edges, leaf in prob.tree.paths():
-        product = Fraction(1)
-        negatives = 0
-        for edge in edges:
-            value = prob.edge_form(edge, with_twist)(point)
-            if value < 0:
-                negatives += 1
-                if negatives > max_index:
-                    break
-            product *= value
-        else:
-            total += product * leaf.degree
-    return total
+    return truncated_sum(
+        prob.tree.root, lambda edge: prob.edge_form(edge, with_twist)(point), max_index
+    )
 
 
 def index_sum(prob: MarkedSimplexProblem, t: Sequence[Scalar], max_index: int) -> Fraction:
@@ -187,6 +187,24 @@ def _classify_edge(prob: MarkedSimplexProblem, form: AffineForm) -> int:
     )
 
 
+def _compile(
+    prob: MarkedSimplexProblem, with_twist: bool
+) -> tuple[list[AffineForm], list[tuple[list[int], int]]]:
+    """The forms of the distinct edge objects, in pre-order of first
+    appearance, and every root-to-leaf path as (form indices, leaf degree)."""
+    index_of: dict[int, int] = {}
+    forms: list[AffineForm] = []
+    for edge in prob.tree.edges():
+        if id(edge) not in index_of:
+            index_of[id(edge)] = len(forms)
+            forms.append(prob.edge_form(edge, with_twist))
+    paths = [
+        ([index_of[id(edge)] for edge in edges], leaf.degree)
+        for edges, leaf in prob.tree.paths()
+    ]
+    return forms, paths
+
+
 def integrate_exact(prob: MarkedSimplexProblem, max_index: int) -> Fraction:
     """Exact integral of the index sum over the simplex, uniform measure.
 
@@ -197,16 +215,19 @@ def integrate_exact(prob: MarkedSimplexProblem, max_index: int) -> Fraction:
     surviving integrand is a polynomial; each path contributes its leaf
     degree times the exact expectation of the product of its edge forms.
     """
-    with_twist = prob.aux_label is not None
-    unconditional = max_index >= prob.tree.dimension
+    forms, paths = _compile(prob, prob.aux_label is not None)
+    negative: set[int] = set()
+    if max_index < prob.tree.dimension:
+        # only edges on some path: a childless internal node ends no path
+        on_paths = {c for cols, _ in paths for c in cols}
+        negative = {c for c in on_paths if _classify_edge(prob, forms[c]) < 0}
     total = Fraction(0)
-    for edges, leaf in prob.tree.paths():
-        forms = [prob.edge_form(edge, with_twist) for edge in edges]
-        if not unconditional:
-            negatives = sum(1 for f in forms if _classify_edge(prob, f) < 0)
-            if negatives > max_index:
-                continue
-        total += leaf.degree * affine_product_expectation(prob.simplex, forms)
+    for cols, degree in paths:
+        if sum(c in negative for c in cols) > max_index:
+            continue
+        total += degree * affine_product_expectation(
+            prob.simplex, [forms[c] for c in cols]
+        )
     return total
 
 
@@ -219,42 +240,20 @@ def integrate_mc(
     Deterministic for fixed (seed, samples) and independent of the worker
     count: sampling and evaluation are block-wise with merged tallies.
     """
-    with_twist = prob.aux_label is not None
-    edges: list[ChildEdge] = []
-    index_of: dict[int, int] = {}
-
-    def collect(node: Node) -> None:
-        if isinstance(node, Leaf):
-            return
-        for e in node.children:
-            if id(e) not in index_of:
-                index_of[id(e)] = len(edges)
-                edges.append(e)
-            collect(e.child)
-
-    collect(prob.tree.root)
-    forms = [prob.edge_form(e, with_twist) for e in edges]
+    forms, paths = _compile(prob, prob.aux_label is not None)
     coeff_matrix = np.array(
         [[float(c) for c in f.coeffs] for f in forms], dtype=float
     ).reshape(len(forms), prob.arity)
     constants = np.array([float(f.constant) for f in forms])
-    path_edges: list[list[int]] = []
-    degrees: list[int] = []
-    for path, leaf in prob.tree.paths():
-        path_edges.append([index_of[id(e)] for e in path])
-        degrees.append(leaf.degree)
 
     def job(b: int, n: int) -> mc.MomentTally:
         t = mc.sample_block(prob.simplex, cfg.seed, b, n)
         marks = t @ coeff_matrix.T + constants  # (n, E)
         neg = marks < 0
         values = np.zeros(n)
-        for cols, degree in zip(path_edges, degrees):
-            if cols:
-                keep = neg[:, cols].sum(axis=1) <= max_index
-                values += np.where(keep, marks[:, cols].prod(axis=1) * degree, 0.0)
-            else:
-                values += float(degree)
+        for cols, degree in paths:
+            keep = neg[:, cols].sum(axis=1) <= max_index
+            values += np.where(keep, marks[:, cols].prod(axis=1) * degree, 0.0)
         tally = mc.MomentTally.empty(1)
         tally.absorb(values[:, None])
         return tally
@@ -326,3 +325,78 @@ def jet_bound_coefficient(
             raise
         estimate, _ = integrate_mc(problem, 1, cfg)
         return float(coefficient) * estimate
+
+
+def averaging_experiment(
+    tree: StratTree,
+    base_labels: Sequence[str],
+    aux_label: str,
+    whole_label: str,
+    max_index: int,
+    k_values: Sequence[int],
+    cfg: mc.MCConfig,
+    method: str = "auto",
+) -> dict:
+    """Scaled harmonic-twist integrals against the truncated whole degree.
+
+    The tree must factor: on every edge the whole label's effective marking
+    equals the sum of the base labels' plus the auxiliary's (validated
+    first).  For each k the twisted integrand is integrated over the
+    block-weighted simplex (exactly when its sign structure allows,
+    otherwise by Monte Carlo), and the scaled value
+
+        (k r)^n * integral / H_k^n,      H_k = 1 + 1/2 + ... + 1/k,
+
+    is reported next to the target degree_truncated(tree, whole, i); the
+    (log k)^n scaling is reported alongside for comparison (k >= 2).
+    ``method`` is "auto", "exact" or "mc".
+    """
+    if not validate_product_trivialization(tree, base_labels, whole_label, aux_label):
+        raise InvalidTrivializationError(
+            f"{whole_label!r} markings are not the sum of {list(base_labels)} "
+            f"plus {aux_label!r} on every edge"
+        )
+    n = tree.dimension
+    r = len(base_labels)
+    target = degree_truncated(tree, whole_label, max_index)
+    rows = []
+    for k in k_values:
+        problem = harmonic_twist(tree, base_labels, aux_label, k)
+        h = harmonic_number(k)
+        used = method
+        stderr = 0.0
+        if method in ("auto", "exact"):
+            try:
+                value = float(integrate_exact(problem, max_index))
+                used = "exact"
+            except MixedSignError:
+                if method == "exact":
+                    raise
+                used = "mc"
+        if used == "mc":
+            value, stderr = integrate_mc(problem, max_index, cfg)
+        scaled = (k * r) ** n * value / float(h) ** n
+        row = {
+            "experiment": "averaging",
+            "params": {"k": k, "max_index": max_index, "method": used},
+            "estimate": value,
+            "stderr": stderr,
+            "exact": None,
+            "zscore": None,
+            "scaled": scaled,
+            "scaled_log": (k * r) ** n * value / math.log(k) ** n if k >= 2 else None,
+            "target": str(target),
+            "gap": abs(scaled - float(target)),
+        }
+        rows.append(row)
+    return {
+        "experiment": "averaging",
+        "params": {
+            "max_index": max_index,
+            "k_values": list(k_values),
+            "seed": cfg.seed,
+            "samples": cfg.samples,
+            "target": str(target),
+        },
+        "records": rows,
+    }

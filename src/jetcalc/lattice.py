@@ -32,11 +32,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .ring import GradedPoly, GradedRing
-from .simplex import SimplexSpec
-
-
-class DegenerateLatticeError(ValueError):
-    """The kernel lattice is trivial (r = 1)."""
+from .simplex import DegenerateLatticeError, SimplexSpec
 
 
 class InvalidCellError(ValueError):

@@ -32,6 +32,9 @@ X = (X_{j,l}):
 
 Each check emits JSON-ready records {experiment, params, estimate, stderr,
 exact, zscore}; the statistical acceptance threshold is 4 standard errors.
+A zero standard error (a single sample, or a constant statistic) leaves the
+z-score undefined: it is reported as null, and so is the report's
+max_abs_zscore.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import strat
 from .simplex import (
     AffineForm,
     SimplexSpec,
@@ -55,10 +57,6 @@ from .simplex import (
 BLOCK_SIZE = 1 << 16
 
 _SEED_MASK = (1 << 64) - 1
-
-
-class InvalidTrivializationError(ValueError):
-    """The tree's whole-bundle markings are not the sum of parts plus twist."""
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,8 @@ def _record(
     exact: Fraction | None,
 ) -> dict:
     z = None
-    if exact is not None:
-        z = (estimate - float(exact)) / stderr if stderr > 0 else 0.0
+    if exact is not None and stderr > 0:
+        z = (estimate - float(exact)) / stderr
     return {
         "experiment": experiment,
         "params": params,
@@ -219,6 +217,12 @@ def _record(
         "exact": str(exact) if exact is not None else None,
         "zscore": z,
     }
+
+
+def _max_abs_zscore(records: list[dict]) -> float | None:
+    """The largest |z| over the records; None if any z-score is undefined."""
+    zs = [rec["zscore"] for rec in records]
+    return None if None in zs else max(abs(z) for z in zs)
 
 
 def dirichlet_density_check(k: int, r: int, cfg: MCConfig) -> dict:
@@ -255,8 +259,9 @@ def dirichlet_density_check(k: int, r: int, cfg: MCConfig) -> dict:
 
     def stats(block: np.ndarray) -> np.ndarray:
         yprime, _ = jets_decomposition(block, k, r)
-        # prod over coordinates of yprime**q, one column per exponent vector
-        return np.prod(yprime[:, None, :] ** exp_arr[None, :, :], axis=2)
+        # prod over coordinates of yprime**q, one column per exponent vector;
+        # column by column, so no (block, moments, k) temporary is built
+        return np.column_stack([np.prod(yprime**q, axis=1) for q in exp_arr])
 
     tally = _tally_statistics(spec, cfg, len(exponents), stats)
     means, errs = tally.mean(), tally.stderr()
@@ -270,12 +275,11 @@ def dirichlet_density_check(k: int, r: int, cfg: MCConfig) -> dict:
         )
         for i, q in enumerate(exponents)
     ]
-    zs = [abs(rec["zscore"]) for rec in records]
     return {
         "experiment": "dirichlet-density",
         "params": {"k": k, "r": r, "seed": cfg.seed, "samples": cfg.samples},
         "records": records,
-        "max_abs_zscore": max(zs),
+        "max_abs_zscore": _max_abs_zscore(records),
         "density_constant": str(constant),
     }
 
@@ -333,12 +337,11 @@ def negative_correlation_check(k: int, r: int, cfg: MCConfig) -> dict:
         )
         if est > float(means[j - 1] * means[l - 1]) + 4 * err:
             ok = False
-    zs = [abs(rec["zscore"]) for rec in records]
     return {
         "experiment": "negative-correlation",
         "params": {"k": k, "r": r, "seed": cfg.seed, "samples": cfg.samples},
         "records": records,
-        "max_abs_zscore": max(zs),
+        "max_abs_zscore": _max_abs_zscore(records),
         "empirically_negatively_correlated": ok,
     }
 
@@ -378,83 +381,4 @@ def variance_bound_check(k: int, r: int, d: Sequence[int | Fraction]) -> dict:
         "bound_constant": str(constant),
         "pi_constant": math.pi**2 / (3 * k * k),
         "holds": holds,
-    }
-
-
-def averaging_experiment(
-    tree: strat.StratTree,
-    base_labels: Sequence[str],
-    aux_label: str,
-    whole_label: str,
-    max_index: int,
-    k_values: Sequence[int],
-    cfg: MCConfig,
-    method: str = "auto",
-) -> dict:
-    """Scaled harmonic-twist integrals against the truncated whole degree.
-
-    The tree must factor: on every edge the whole label's effective marking
-    equals the sum of the base labels' plus the auxiliary's (validated
-    first).  For each k the twisted integrand is integrated over the
-    block-weighted simplex (exactly when its sign structure allows,
-    otherwise by Monte Carlo), and the scaled value
-
-        (k r)^n * integral / H_k^n,      H_k = 1 + 1/2 + ... + 1/k,
-
-    is reported next to the target degree_truncated(tree, whole, i); the
-    (log k)^n scaling is reported alongside for comparison (k >= 2).
-    ``method`` is "auto", "exact" or "mc".
-    """
-    from . import integrands
-
-    if not strat.validate_product_trivialization(
-        tree, base_labels, whole_label, aux_label
-    ):
-        raise InvalidTrivializationError(
-            f"{whole_label!r} markings are not the sum of {list(base_labels)} "
-            f"plus {aux_label!r} on every edge"
-        )
-    n = tree.dimension
-    r = len(base_labels)
-    target = strat.degree_truncated(tree, whole_label, max_index)
-    rows = []
-    for k in k_values:
-        problem = integrands.harmonic_twist(tree, base_labels, aux_label, k)
-        h = sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
-        used = method
-        stderr = 0.0
-        if method in ("auto", "exact"):
-            try:
-                value = float(integrands.integrate_exact(problem, max_index))
-                used = "exact"
-            except integrands.MixedSignError:
-                if method == "exact":
-                    raise
-                used = "mc"
-        if used == "mc":
-            value, stderr = integrands.integrate_mc(problem, max_index, cfg)
-        scaled = (k * r) ** n * value / float(h) ** n
-        row = {
-            "experiment": "averaging",
-            "params": {"k": k, "max_index": max_index, "method": used},
-            "estimate": value,
-            "stderr": stderr,
-            "exact": None,
-            "zscore": None,
-            "scaled": scaled,
-            "scaled_log": (k * r) ** n * value / math.log(k) ** n if k >= 2 else None,
-            "target": str(target),
-            "gap": abs(scaled - float(target)),
-        }
-        rows.append(row)
-    return {
-        "experiment": "averaging",
-        "params": {
-            "max_index": max_index,
-            "k_values": list(k_values),
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "target": str(target),
-        },
-        "records": rows,
     }

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Scalar = int | Fraction
+from .ring import Scalar
 
 
 class DegenerateLatticeError(ValueError):
-    """The hyperplane lattice is trivial (r = 1), so there is no cell volume."""
+    """The kernel lattice {z in Z^r : sum a_i z_i = 0} is trivial (r = 1)."""
 
 
 class SingularInputError(ValueError):

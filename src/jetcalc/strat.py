@@ -13,9 +13,10 @@ markings times its leaf degree.  The central quantities are
     degree_by_index(T, L, l)  = sum over paths of index exactly l,
     degree_truncated(T, L, l) = sum over paths of index at most l,
 
-computed both by direct path enumeration and by the sign-splitting
-recursion (positive children keep the index budget, negative children
-consume one unit), which must agree.
+both computed by :func:`truncated_sum`, the sign-splitting recursion
+(positive children keep the index budget, negative children consume one
+unit).  :func:`path_degrees` enumerates every path instead; it is
+exponential in n and is kept as the independent oracle for the recursion.
 
 The module also provides structure-preserving transformations with exactly
 computable effect on truncated degrees: refinements by zero-marked
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-Scalar = int | Fraction
+from .ring import Scalar
 
 
 class TreeStructureError(ValueError):
@@ -151,13 +152,23 @@ class StratTree:
 
         yield from walk(self.root, ())
 
-    def edge_count(self) -> int:
-        def count(node: Node) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return sum(1 + count(e.child) for e in node.children)
+    def edges(self) -> Iterator[ChildEdge]:
+        """Every edge position in pre-order: an edge, then the edges below it.
 
-        return count(self.root)
+        An edge object reached along several paths (in-memory trees may
+        share subtrees) is yielded once per position.
+        """
+        return _edges(self.root)
+
+    def edge_count(self) -> int:
+        return sum(1 for _ in self.edges())
+
+
+def _edges(node: Node) -> Iterator[ChildEdge]:
+    if isinstance(node, InternalNode):
+        for edge in node.children:
+            yield edge
+            yield from _edges(edge.child)
 
 
 # -- JSON-style dict round trip ----------------------------------------------
@@ -251,83 +262,89 @@ def tree_to_dict(tree: StratTree) -> dict:
 # -- truncated degrees ---------------------------------------------------------
 
 
-def path_weight(tree: StratTree, edges: Sequence[ChildEdge], label: str) -> tuple[Fraction, int]:
-    """A path's (product of effective markings, index).
+def truncated_sum(
+    root: Node, value_of: Callable[[ChildEdge], Scalar], max_index: int
+) -> Fraction:
+    """Sum over root-to-leaf paths with at most ``max_index`` strictly
+    negative edge values of the product of the values times the leaf degree.
 
-    The index counts the strictly negative effective markings along the
-    path; a zero marking is non-negative, which is inert since it already
-    kills the product.
+    The sign-splitting recursion: children with a positive value recurse
+    with the same index budget, children with a negative value consume one
+    unit, zero-valued children contribute nothing (a zero kills its path,
+    so counting it as non-negative is inert), and a leaf returns its degree
+    while the budget is non-negative.  Subtree sums are memoized on node
+    identity, so subtrees shared in memory are summed once per budget.
     """
-    product = Fraction(1)
-    negatives = 0
-    for edge in edges:
-        value = tree.effective(edge, label)
-        if value < 0:
-            negatives += 1
-        product *= value
-    return product, negatives
-
-
-def degree_by_index(tree: StratTree, label: str, index: int) -> Fraction:
-    """Sum of marking products times leaf degrees over paths of exact index."""
-    tree.denominator(label)  # validates the label
-    total = Fraction(0)
-    for edges, leaf in tree.paths():
-        product, negatives = path_weight(tree, edges, label)
-        if negatives == index:
-            total += product * leaf.degree
-    return total
-
-
-def degree_truncated(tree: StratTree, label: str, max_index: int) -> Fraction:
-    """Sum over paths of index at most max_index, by direct enumeration."""
-    tree.denominator(label)
-    total = Fraction(0)
-    for edges, leaf in tree.paths():
-        product, negatives = path_weight(tree, edges, label)
-        if negatives <= max_index:
-            total += product * leaf.degree
-    return total
-
-
-def degree_recursive(tree: StratTree, label: str, max_index: int) -> Fraction:
-    """Same value as degree_truncated, by the sign-splitting recursion.
-
-    Children with positive marking recurse with the same index budget,
-    children with negative marking consume one unit of budget, zero-marked
-    children contribute nothing; a leaf returns its degree while the budget
-    is non-negative.
-    """
-    den = tree.denominator(label)
+    memo: dict[tuple[int, int], Fraction] = {}
 
     def rec(node: Node, budget: int) -> Fraction:
         if budget < 0:
             return Fraction(0)
         if isinstance(node, Leaf):
             return Fraction(node.degree)
-        total = Fraction(0)
-        for edge in node.children:
-            m = edge.markings[label]
-            if m == 0:
-                continue
-            sub = rec(edge.child, budget - 1 if m < 0 else budget)
-            if sub:
-                total += Fraction(m, den) * sub
-        return total
+        key = (id(node), budget)
+        if key not in memo:
+            total = Fraction(0)
+            for edge in node.children:
+                value = value_of(edge)
+                if value == 0:
+                    continue
+                sub = rec(edge.child, budget - 1 if value < 0 else budget)
+                if sub:
+                    total += value * sub
+            memo[key] = total
+        return memo[key]
 
-    return rec(tree.root, max_index)
+    return rec(root, max_index)
+
+
+def degree_truncated(tree: StratTree, label: str, max_index: int) -> Fraction:
+    """Sum of marking products times leaf degrees over paths of index at
+    most max_index."""
+    den = tree.denominator(label)
+    return truncated_sum(
+        tree.root, lambda edge: Fraction(edge.markings[label], den), max_index
+    )
+
+
+def degree_by_index(tree: StratTree, label: str, index: int) -> Fraction:
+    """Sum of marking products times leaf degrees over paths of exact index."""
+    return degree_truncated(tree, label, index) - degree_truncated(tree, label, index - 1)
+
+
+def path_degrees(tree: StratTree, label: str) -> list[Fraction]:
+    """The by-index degrees for indices 0..n, by enumerating every path.
+
+    Exponential in n: the independent oracle that the recursion behind
+    :func:`degree_truncated` and :func:`degree_by_index` is tested against.
+    """
+    den = tree.denominator(label)
+    by_index = [Fraction(0)] * (tree.dimension + 1)
+    for edges, leaf in tree.paths():
+        product = Fraction(leaf.degree)
+        negatives = 0
+        for edge in edges:
+            value = Fraction(edge.markings[label], den)
+            negatives += value < 0
+            product *= value
+        by_index[negatives] += product
+    return by_index
 
 
 # -- refinements ----------------------------------------------------------------
 
 
-def _zeroed(node: Node, labels: Sequence[str]) -> Node:
-    """Copy of a branch with every marking set to 0 (leaf degrees kept)."""
+def _remark(node: Node, markings_of: Callable[[ChildEdge], dict[str, int]]) -> Node:
+    """Copy of a branch whose edges carry ``markings_of(edge)`` (leaves kept).
+
+    Every edge position gets its own new edge object, even where the
+    original shares a subtree.
+    """
     if isinstance(node, Leaf):
         return node
     return InternalNode(
         children=tuple(
-            ChildEdge(markings={label: 0 for label in labels}, child=_zeroed(e.child, labels))
+            ChildEdge(markings=markings_of(e), child=_remark(e.child, markings_of))
             for e in node.children
         )
     )
@@ -365,7 +382,7 @@ def refine(
                 f"cannot attach a branch below a leaf at path {tuple(path)}"
             )
         needed = result.dimension - len(path) - 1
-        cleaned = _zeroed(branch, result.labels)
+        cleaned = _remark(branch, lambda edge: {label: 0 for label in result.labels})
         if not _depth_exact(cleaned, needed):
             raise TreeStructureError(
                 f"branch at path {tuple(path)} must have uniform depth {needed}"
@@ -421,28 +438,18 @@ def power_trivialization(
     if f < 1:
         raise ValueError(f"power must be >= 1, got {f}")
     tree.denominator(label)
-
-    def rescale(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return node
-        return InternalNode(
-            children=tuple(
-                ChildEdge(
-                    markings={
-                        key: value * f if key == label else value
-                        for key, value in edge.markings.items()
-                    },
-                    child=rescale(edge.child),
-                )
-                for edge in node.children
-            )
-        )
-
+    root = _remark(
+        tree.root,
+        lambda edge: {
+            key: value * f if key == label else value
+            for key, value in edge.markings.items()
+        },
+    )
     bundles = tuple(
         (name, den if keep_denominator or name != label else den * f)
         for name, den in tree.bundles
     )
-    return StratTree(dimension=tree.dimension, bundles=bundles, root=rescale(tree.root))
+    return StratTree(dimension=tree.dimension, bundles=bundles, root=root)
 
 
 # -- finite covers -----------------------------------------------------------------
@@ -666,18 +673,6 @@ def nef_difference_tree(n: int, f: Scalar, g: Scalar) -> StratTree:
 # -- assignment maxima ---------------------------------------------------------------
 
 
-def _expand_positions(node: Node) -> Node:
-    """Structurally identical copy with all-distinct node/edge objects."""
-    if isinstance(node, Leaf):
-        return Leaf(degree=node.degree)
-    return InternalNode(
-        children=tuple(
-            ChildEdge(markings=dict(e.markings), child=_expand_positions(e.child))
-            for e in node.children
-        )
-    )
-
-
 def assignment_max(
     root: Node,
     options_of: Callable[[ChildEdge], Sequence[Fraction]],
@@ -690,8 +685,13 @@ def assignment_max(
     path's index is its count of strictly negative chosen values, and paths
     of index above ``max_index`` are dropped.  ``dp`` propagates subtree
     maxima and minima per remaining budget (choices in disjoint subtrees
-    are independent); ``brute`` enumerates all assignments.
+    are independent); ``brute`` enumerates all assignments.  A negative
+    ``max_index`` admits no path, so the maximum is 0.
     """
+    if algorithm not in ("dp", "brute"):
+        raise ValueError(f"unknown algorithm {algorithm!r}; use 'dp' or 'brute'")
+    if max_index < 0:
+        return Fraction(0)
     i = max_index
     sign = -1 if i % 2 else 1
 
@@ -730,46 +730,35 @@ def assignment_max(
         maxs, mins = tables(root)
         return maxs[i] if sign == 1 else -mins[i]
 
-    if algorithm == "brute":
-        expanded = _expand_positions(root)
-        edges: list[ChildEdge] = []
+    # brute force: one independent choice per edge position
+    expanded = _remark(root, lambda edge: edge.markings)
+    edges = list(_edges(expanded))
+    option_lists = [list(options_of(e)) for e in edges]
 
-        def collect(node: Node) -> None:
+    def evaluate(choice: dict[int, Fraction]) -> Fraction:
+        def walk(node: Node, budget: int) -> Fraction:
+            if budget < 0:
+                return Fraction(0)
             if isinstance(node, Leaf):
-                return
+                return Fraction(node.degree)
+            total = Fraction(0)
             for e in node.children:
-                edges.append(e)
-                collect(e.child)
+                value = choice[id(e)]
+                sub = walk(e.child, budget - 1 if value < 0 else budget)
+                if sub:
+                    total += value * sub
+            return total
 
-        collect(expanded)
-        option_lists = [list(options_of(e)) for e in edges]
+        return walk(expanded, i)
 
-        def evaluate(choice: dict[int, Fraction]) -> Fraction:
-            def walk(node: Node, budget: int) -> Fraction:
-                if budget < 0:
-                    return Fraction(0)
-                if isinstance(node, Leaf):
-                    return Fraction(node.degree)
-                total = Fraction(0)
-                for e in node.children:
-                    value = choice[id(e)]
-                    sub = walk(e.child, budget - 1 if value < 0 else budget)
-                    if sub:
-                        total += value * sub
-                return total
-
-            return walk(expanded, i)
-
-        best: Fraction | None = None
-        for combo in itertools.product(*option_lists):
-            choice = {id(e): v for e, v in zip(edges, combo)}
-            value = sign * evaluate(choice)
-            if best is None or value > best:
-                best = value
-        assert best is not None
-        return best
-
-    raise ValueError(f"unknown algorithm {algorithm!r}; use 'dp' or 'brute'")
+    best: Fraction | None = None
+    for combo in itertools.product(*option_lists):
+        choice = {id(e): v for e, v in zip(edges, combo)}
+        value = sign * evaluate(choice)
+        if best is None or value > best:
+            best = value
+    assert best is not None
+    return best
 
 
 def max_marking_degree(
@@ -801,20 +790,8 @@ def validate_product_trivialization(
     parts' plus the auxiliary's effective markings."""
     for label in (*parts, whole, aux):
         tree.denominator(label)
-
-    def check(node: Node) -> bool:
-        if isinstance(node, Leaf):
-            return True
-        for edge in node.children:
-            lhs = tree.effective(edge, whole)
-            rhs = sum(
-                (tree.effective(edge, p) for p in parts),
-                tree.effective(edge, aux),
-            )
-            if lhs != rhs:
-                return False
-            if not check(edge.child):
-                return False
-        return True
-
-    return check(tree.root)
+    return all(
+        tree.effective(edge, whole)
+        == sum((tree.effective(edge, p) for p in parts), tree.effective(edge, aux))
+        for edge in tree.edges()
+    )

@@ -99,6 +99,18 @@ def test_strat_cmax(capsys, tmp_path):
     assert code == 0 and out == "1"
 
 
+def test_negative_cap_admits_no_path(capsys):
+    # every tree command reads a negative cap the same way: no path qualifies
+    for algorithm in ("dp", "brute"):
+        code, out, err = run(
+            capsys, "strat-cmax", "--tree", TREE, "--labels", "L", "--upto", "-1",
+            "--algorithm", algorithm,
+        )
+        assert (code, out, err) == (0, "0", "")
+    code, out, _ = run(capsys, "strat-degree", "--tree", TREE, "--label", "L", "--upto", "-1")
+    assert code == 0 and out == "0"
+
+
 def test_upsilon_integrate_exact_and_mc(capsys, tmp_path):
     tree = {
         "dimension": 1,
@@ -236,6 +248,20 @@ def test_mc_experiment_reports(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert [row["params"]["k"] for row in report["records"]] == [1, 2]
+
+
+def test_mc_experiment_zero_stderr_has_no_zscore(capsys):
+    # one sample has no standard error: no z-score may be reported as passing
+    for name in ("dirichlet-density", "negative-correlation"):
+        code, out, _ = run(
+            capsys, "mc-experiment", "--name", name, "--k", "2", "--r", "1",
+            "--samples", "1",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["max_abs_zscore"] is None
+        for rec in report["records"]:
+            assert rec["stderr"] == 0 and rec["zscore"] is None
 
 
 def test_tree_roundtrip_through_cli_format(tmp_path):

@@ -240,6 +240,27 @@ def test_integrate_exact_mixed_sign():
         integrate_exact(prob, 0)
     # cap >= dimension: the indicator disappears and the integral is exact
     assert integrate_exact(prob, 1) == 0  # E[t1 - t2] by symmetry
+    # a sign-changing edge into a childless node lies on no path: it does not
+    # enter the integrand, so it cannot refuse the exact route
+    dead_end = tree_from_dict(
+        {
+            "dimension": 2,
+            "bundles": [
+                {"label": "L1", "denominator": 1},
+                {"label": "L2", "denominator": 1},
+            ],
+            "root": {
+                "children": [
+                    {"markings": {"L1": 1, "L2": -1}, "node": {"children": []}},
+                    {
+                        "markings": {"L1": 1},
+                        "node": {"children": [{"markings": {"L2": 1}, "node": {"degree": 1}}]},
+                    },
+                ]
+            },
+        }
+    )
+    assert integrate_exact(problem(dead_end, ("L1", "L2"), (1, 1)), 0) == Fraction(1, 6)
 
 
 def test_integrate_mc_against_exact():
@@ -283,6 +304,8 @@ def test_integrate_mc_constant_integrand():
     prob = problem(point, ("L",), (1,))
     estimate, stderr = integrate_mc(prob, 0, mc.MCConfig(seed=1, samples=70_000))
     assert estimate == 3.0 and stderr == 0.0
+    # a negative cap admits no path, not even the empty one
+    assert integrate_mc(prob, -1, mc.MCConfig(seed=1, samples=1000)) == (0.0, 0.0)
 
 
 def test_integrate_mc_deterministic_and_worker_independent():

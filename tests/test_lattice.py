@@ -16,6 +16,7 @@ from jetcalc.lattice import (
     power_sum_table,
     weighted_power_poly_sum,
 )
+from jetcalc import simplex
 from jetcalc.ring import GradedRing
 from jetcalc.simplex import SimplexSpec
 
@@ -136,6 +137,14 @@ def test_lattice_basis():
     lattice_basis(SimplexSpec((2, 3, 6)))  # validity checked on construction
     with pytest.raises(DegenerateLatticeError):
         lattice_basis(SimplexSpec((5,)))
+
+
+def test_degenerate_lattice_error_is_one_class():
+    # one except clause catches the error from both modules
+    with pytest.raises(simplex.DegenerateLatticeError):
+        lattice_basis(SimplexSpec((3,)))
+    with pytest.raises(DegenerateLatticeError):
+        simplex.fundamental_domain_volume(SimplexSpec((3,)))
 
 
 def test_lattice_basis_rejects_non_generating():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetcalc import mc
+from jetcalc import integrands, mc
 from jetcalc.simplex import (
     AffineForm,
     SimplexSpec,
@@ -162,7 +162,7 @@ def test_averaging_experiment_exact_for_dimension_one():
         }
     )
     cfg = mc.MCConfig(seed=7, samples=10_000)
-    report = mc.averaging_experiment(tree, ["L"], "N", "E", 1, [1, 2, 5], cfg)
+    report = integrands.averaging_experiment(tree, ["L"], "N", "E", 1, [1, 2, 5], cfg)
     # dimension 1: every path has index <= 1, the expectation is linear and
     # the scaled value equals the target exactly for every k
     for row in report["records"]:
@@ -198,7 +198,7 @@ def test_averaging_experiment_positive_tree_exact_correction():
     )
     cfg = mc.MCConfig(seed=1, samples=1000)  # unused: every k integrates exactly
     ks = [2, 4, 8, 16]
-    report = mc.averaging_experiment(tree, ["L"], "N", "E", 1, ks, cfg)
+    report = integrands.averaging_experiment(tree, ["L"], "N", "E", 1, ks, cfg)
     # closed form of the scaled value: both edges mark Y = sum of coordinates,
     # so the integral is 2 E[Y^2] = 2 (H_k^2 + H_k^(2)) / (k (k+1)) and
     # scaled = 2 * k/(k+1) * (1 + H_k^(2)/H_k^2) -> target 2, correction
@@ -228,7 +228,7 @@ def test_averaging_experiment_validates_trivialization():
             },
         }
     )
-    with pytest.raises(mc.InvalidTrivializationError):
-        mc.averaging_experiment(
+    with pytest.raises(integrands.InvalidTrivializationError):
+        integrands.averaging_experiment(
             bad, ["L"], "N", "E", 1, [2], mc.MCConfig(seed=1, samples=100)
         )

@@ -25,11 +25,11 @@ from jetcalc.strat import (
     ample_tree,
     cover,
     degree_by_index,
-    degree_recursive,
     degree_truncated,
     identity_cover,
     max_marking_degree,
     nef_difference_tree,
+    path_degrees,
     power_trivialization,
     refine,
     replicate_cover,
@@ -128,33 +128,41 @@ def test_degree_truncated_examples():
     assert degree_truncated(tree, "L", 1) == 1
     chain = tree_from_dict(CHAIN)
     assert degree_truncated(chain, "L", 1) == -6
-    # at the full budget the truncation is the plain top degree
+    # at the full budget the truncation is the plain top degree, summed
+    # over every path by the enumeration oracle
     rng = random.Random(31)
     for _ in range(10):
         t = random_tree(rng, rng.randint(1, 3), (("L", 2),))
-        full = sum(
-            (degree_by_index(t, "L", j) for j in range(t.dimension + 1)), Fraction(0)
-        )
+        full = sum(path_degrees(t, "L"), Fraction(0))
         assert degree_truncated(t, "L", t.dimension) == full
 
 
 def test_degree_recursive_matches_enumeration():
+    # the recursion behind degree_truncated / degree_by_index against the
+    # path-enumeration oracle
     tree = tree_from_dict(TWO_LEAF)
     chain = tree_from_dict(CHAIN)
+    assert path_degrees(tree, "L") == [2, -1]
+    assert path_degrees(chain, "L") == [0, -6, 0]
     for t in (tree, chain):
+        by_index = path_degrees(t, "L")
         for level in range(t.dimension + 1):
-            assert degree_recursive(t, "L", level) == degree_truncated(t, "L", level)
+            assert degree_truncated(t, "L", level) == sum(by_index[: level + 1])
+            assert degree_by_index(t, "L", level) == by_index[level]
     point = StratTree(dimension=0, bundles=(("L", 1),), root=Leaf(degree=4))
-    assert degree_recursive(point, "L", 0) == 4
+    assert path_degrees(point, "L") == [4]
     assert degree_truncated(point, "L", 0) == 4
+    assert degree_truncated(point, "L", -1) == 0
 
 
 def test_degree_recursive_random_equivalence():
     rng = random.Random(101)
     for _ in range(150):
         t = random_tree(rng, rng.randint(1, 4), (("L", rng.choice((1, 2, 3))),))
+        by_index = path_degrees(t, "L")
         for level in range(t.dimension + 1):
-            assert degree_recursive(t, "L", level) == degree_truncated(t, "L", level)
+            assert degree_truncated(t, "L", level) == sum(by_index[: level + 1])
+            assert degree_by_index(t, "L", level) == by_index[level]
 
 
 def test_refine_examples():

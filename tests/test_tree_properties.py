@@ -1,0 +1,137 @@
+"""Property tests: the sign-splitting recursion against path enumeration.
+
+``degree_truncated``, ``degree_by_index`` and ``index_sum`` all run on
+``strat.truncated_sum``; here they are compared with sums over
+``StratTree.paths()`` on random trees and on model trees whose subtrees are
+shared in memory.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from jetcalc.integrands import MarkedSimplexProblem, index_sum, twisted_index_sum
+from jetcalc.simplex import SimplexSpec
+from jetcalc.strat import (
+    ChildEdge,
+    InternalNode,
+    Leaf,
+    StratTree,
+    degree_by_index,
+    degree_truncated,
+    nef_difference_tree,
+    path_degrees,
+    power_trivialization,
+    refine,
+)
+
+LABELS = ("L", "M")
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def random_trees(draw):
+    """Uniform-depth trees; an internal node below the root may have no
+    children, so some edges end on no root-to-leaf path."""
+    dimension = draw(st.integers(0, 4))
+    bundles = tuple((label, draw(st.integers(1, 3))) for label in LABELS)
+
+    def build(depth):
+        if depth == dimension:
+            return Leaf(degree=draw(st.integers(1, 3)))
+        width = draw(st.integers(0 if depth else 1, 3))
+        return InternalNode(
+            children=tuple(
+                ChildEdge(
+                    markings={label: draw(st.integers(-4, 4)) for label in LABELS},
+                    child=build(depth + 1),
+                )
+                for _ in range(width)
+            )
+        )
+
+    return StratTree(dimension=dimension, bundles=bundles, root=build(0))
+
+
+@st.composite
+def shared_trees(draw):
+    """nef_difference_tree, which shares each level's subtree between both
+    children, as built or after refine (sharing kept off the grafted path)
+    or power_trivialization (sharing expanded)."""
+    n = draw(st.integers(1, 6))
+    f = draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+    g = draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+    tree = nef_difference_tree(n, f, g)
+    how = draw(st.sampled_from(("plain", "refine", "power")))
+    if how == "refine":
+        depth = draw(st.integers(0, n - 1))
+        path = tuple(draw(st.integers(0, 1)) for _ in range(depth))
+        branch = Leaf(degree=draw(st.integers(1, 3)))
+        for _ in range(n - depth - 1):
+            branch = InternalNode(
+                children=(ChildEdge(markings={"F": 0, "G": 0, "L": 0}, child=branch),)
+            )
+        tree = refine(tree, [(path, branch)])
+    elif how == "power":
+        tree = power_trivialization(
+            tree, "L", draw(st.integers(1, 3)), keep_denominator=draw(st.booleans())
+        )
+    return tree
+
+
+def _prefix(by_index, level):
+    return sum(by_index[: max(level + 1, 0)], Fraction(0))
+
+
+def _check_degrees(tree, label):
+    by_index = path_degrees(tree, label)
+    for level in range(-1, tree.dimension + 2):
+        assert degree_truncated(tree, label, level) == _prefix(by_index, level)
+        want = by_index[level] if 0 <= level <= tree.dimension else 0
+        assert degree_by_index(tree, label, level) == want
+
+
+@SETTINGS
+@given(random_trees(), st.sampled_from(LABELS))
+def test_degrees_match_path_enumeration_on_random_trees(tree, label):
+    _check_degrees(tree, label)
+
+
+@SETTINGS
+@given(shared_trees())
+def test_degrees_match_path_enumeration_on_shared_subtrees(tree):
+    _check_degrees(tree, "L")
+
+
+@SETTINGS
+@given(
+    random_trees(),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(small_fractions, small_fractions),
+    small_fractions,
+)
+def test_index_sums_match_path_enumeration(tree, weights, point, scale):
+    prob = MarkedSimplexProblem(
+        tree=tree, labels=LABELS, simplex=SimplexSpec(weights), aux_label="M",
+        aux_scale=scale,
+    )
+    dens = dict(tree.bundles)
+
+    def mark(edge, twist):
+        value = sum(
+            (t * Fraction(edge.markings[label], dens[label]) for t, label in zip(point, LABELS)),
+            Fraction(0),
+        )
+        return value + (scale * Fraction(edge.markings["M"], dens["M"]) if twist else 0)
+
+    for twist, evaluate in ((False, index_sum), (True, twisted_index_sum)):
+        by_index = [Fraction(0)] * (tree.dimension + 1)
+        for edges, leaf in tree.paths():
+            marks = [mark(edge, twist) for edge in edges]
+            product = Fraction(leaf.degree)
+            for value in marks:
+                product *= value
+            by_index[sum(value < 0 for value in marks)] += product
+        for level in range(-1, tree.dimension + 2):
+            assert evaluate(prob, point, level) == _prefix(by_index, level)
