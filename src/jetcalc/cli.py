@@ -76,11 +76,13 @@ def _load_tree(path: str) -> strat.StratTree:
     try:
         with open(path) as handle:
             data = json.load(handle)
+        return strat.tree_from_dict(data)
     except OSError as err:
         raise strat.TreeStructureError(f"cannot read tree file {path!r}: {err}")
     except json.JSONDecodeError as err:
         raise strat.TreeStructureError(f"tree file {path!r} is not valid JSON: {err}")
-    return strat.tree_from_dict(data)
+    except RecursionError:
+        raise strat.TreeStructureError(f"tree file {path!r} is nested too deeply")
 
 
 def _mc_config(args) -> mc.MCConfig:
@@ -239,13 +241,15 @@ def _cmd_upsilon_integrate(args) -> int:
 def _cmd_jet_bound(args) -> int:
     tree = _load_tree(args.tree)
     cfg = _mc_config(args) if args.mc else None
-    value = integrands.jet_bound_coefficient(tree, args.labels, args.aux, args.k, cfg)
+    value, stderr = integrands.jet_bound_with_error(
+        tree, args.labels, args.aux, args.k, cfg
+    )
     if isinstance(value, Fraction):
         _emit(args, {"coefficient": str(value), "method": "exact"}, str(value))
     else:
         _emit(
             args,
-            {"coefficient": value, "method": "mc"},
+            {"coefficient": value, "method": "mc", "stderr": stderr},
             _float_text(value),
         )
     return 0

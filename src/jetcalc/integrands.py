@@ -16,9 +16,10 @@ its path, so counting zeros as non-negative is inert.
 Integration over the simplex is exact whenever every edge form has one
 sign on the whole simplex (checkable at the vertices, since the forms are
 affine), or when the index cap is at least n so no indicator survives: the
-integrand is then a single polynomial and integrates term by term through
-the closed-form monomial moments.  Otherwise a deterministic seeded
-Monte-Carlo fallback reports (estimate, standard error).
+integrand is then a single polynomial, and each path's product of edge
+forms integrates exactly from the forms' vertex values.  Otherwise a
+deterministic seeded Monte-Carlo fallback reports (estimate, standard
+error).
 
 The harmonic twist at order k replaces the auxiliary scale by H_k/(k r)
 with H_k = 1 + 1/2 + ... + 1/k, and expands the coordinates to the
@@ -39,7 +40,12 @@ import numpy as np
 
 from . import mc
 from .ring import Scalar
-from .simplex import AffineForm, SimplexSpec, affine_product_expectation
+from .simplex import (
+    AffineForm,
+    SimplexSpec,
+    affine_product_expectation,
+    vertex_values,
+)
 from .strat import (
     ChildEdge,
     StratTree,
@@ -172,10 +178,7 @@ def _classify_edge(prob: MarkedSimplexProblem, form: AffineForm) -> int:
     An affine form on a simplex attains its extremes at the vertices
     e_l / a_l, so the vertex values coeff_l / a_l + constant decide.
     """
-    values = [
-        form.coeffs[l] / prob.simplex.weights[l] + form.constant
-        for l in range(prob.arity)
-    ]
+    values = vertex_values(prob.simplex, form)
     if all(v == 0 for v in values):
         return 0
     if all(v >= 0 for v in values):
@@ -312,6 +315,19 @@ def jet_bound_coefficient(
     fallback runs with ``cfg`` (required in that case) and a float is
     returned.
     """
+    return jet_bound_with_error(tree, base_labels, aux_label, k, cfg)[0]
+
+
+def jet_bound_with_error(
+    tree: StratTree,
+    base_labels: Sequence[str],
+    aux_label: str,
+    k: int,
+    cfg: mc.MCConfig | None = None,
+) -> tuple[Fraction | float, float | None]:
+    """:func:`jet_bound_coefficient` and its standard error: the coefficient
+    times the integral's standard error on the Monte-Carlo route, None on
+    the exact route."""
     n = tree.dimension
     r = len(tuple(base_labels))
     problem = harmonic_twist(tree, base_labels, aux_label, k)
@@ -319,12 +335,12 @@ def jet_bound_coefficient(
         math.comb(n + k * r - 1, k * r - 1), math.factorial(k) ** r
     )
     try:
-        return coefficient * integrate_exact(problem, 1)
+        return coefficient * integrate_exact(problem, 1), None
     except MixedSignError:
         if cfg is None:
             raise
-        estimate, _ = integrate_mc(problem, 1, cfg)
-        return float(coefficient) * estimate
+        estimate, stderr = integrate_mc(problem, 1, cfg)
+        return float(coefficient) * estimate, float(coefficient) * stderr
 
 
 def averaging_experiment(

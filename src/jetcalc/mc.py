@@ -306,7 +306,7 @@ def negative_correlation_check(k: int, r: int, cfg: MCConfig) -> dict:
         closed = Fraction(r, j * l * k * (k * r + 1))
         if exact != closed:
             raise AssertionError(
-                f"moment expansion {exact} disagrees with closed form {closed}"
+                f"vertex-value expectation {exact} disagrees with closed form {closed}"
             )
         bound = Fraction(1, j * k) * Fraction(1, l * k)
         if exact > bound:
@@ -350,7 +350,7 @@ def variance_bound_check(k: int, r: int, d: Sequence[int | Fraction]) -> dict:
     """Exact rational variance bound for A(t) = sum_{j,l} t_{j,l} d_l.
 
     Var[A] on the block-weighted simplex and E[S^2] on the standard
-    (r-1)-simplex are both computed by exact moment expansion; the check is
+    (r-1)-simplex are both exact simplex expectations; the check is
 
         Var[A]  <=  (2/k^2) (sum_{j<=k} 1/j^2) E[S^2]
 

@@ -16,8 +16,9 @@ computed in closed form over exact rationals:
 
       E[t^p] = (r-1)! p_1! ... p_r! / (p_1+...+p_r+r-1)!  *  prod a_i^(-p_i)
 
-* exact expectations of products of affine forms, by expanding the product
-  and summing monomial moments.
+* exact expectations of products of affine forms, by vertex values: each
+  form is homogenized on D_a and the product is integrated over the
+  standard simplex (see :func:`affine_product_expectation`).
 
 Pure functions on immutable values; safe to share across threads.
 """
@@ -253,41 +254,107 @@ def gram_det(alpha: Sequence[Scalar]) -> Fraction:
     return prod_sq * inv_sum
 
 
+def vertex_values(spec: SimplexSpec, form: AffineForm) -> tuple[Fraction, ...]:
+    """Values c + b_i / a_i of the form c + sum_i b_i t_i at the vertices e_i / a_i."""
+    if form.arity != spec.arity:
+        raise ValueError(
+            f"form arity {form.arity} does not match simplex arity {spec.arity}"
+        )
+    c = form.constant
+    return tuple(c + b / a for b, a in zip(form.coeffs, spec.weights))
+
+
 def affine_product_expectation(
     spec: SimplexSpec, forms: Sequence[AffineForm]
 ) -> Fraction:
-    """E[prod_j f_j(T)] for T uniform on D_a, exactly.
+    """E[prod_j f_j(T)] for T uniform on D_a, exactly, from vertex values.
 
-    The product is expanded into monomials and each monomial is integrated
-    with :func:`monomial_moment`.  For a single affine form this equals the
-    average of the form over the r vertices e_i / a_i.
+    On D_a a constant c equals c * sum_i a_i t_i, so each form is
+    sum_i v_i z_i with v_i its vertex values and z = (a_i t_i) uniform on the
+    standard simplex, where E[z^m] = (r-1)! prod m_i! / (|m|+r-1)!.  For M
+    forms this gives (Baldoni, Berline, De Loera, Koeppe, Vergne, "How to
+    integrate a polynomial over a simplex", Math. Comp. 80 (2011))
+
+        E[prod_j f_j] = (r-1)!/(M+r-1)! * sum over maps phi: [M] -> [r] of
+                        prod_i m_i(phi)! * prod_j v_{j, phi(j)},
+
+    with m_i(phi) the number of forms sent to vertex i.  Each form's vertex
+    values are scaled to integers, and the sum is taken by whichever of two
+    exact methods does fewer steps: a DP over subsets of forms (about
+    r 3^M steps) or an expansion over degree-M exponent vectors (about
+    r binom(M+r-1, r-1)).
     """
     r = spec.arity
+    rows: list[list[int]] = []
+    denominator = 1
     for f in forms:
-        if f.arity != r:
-            raise ValueError(f"form arity {f.arity} does not match simplex arity {r}")
-    # polynomial as {exponent tuple: coefficient}
-    poly: dict[tuple[int, ...], Fraction] = {(0,) * r: Fraction(1)}
-    for f in forms:
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in poly.items():
-            if f.constant:
-                c = nxt.get(exps, Fraction(0)) + coeff * f.constant
-                if c:
-                    nxt[exps] = c
-                else:
-                    nxt.pop(exps, None)
-            for i, ci in enumerate(f.coeffs):
-                if not ci:
-                    continue
-                bumped = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-                c = nxt.get(bumped, Fraction(0)) + coeff * ci
-                if c:
-                    nxt[bumped] = c
-                else:
-                    nxt.pop(bumped, None)
-        poly = nxt
-    return sum(
-        (coeff * monomial_moment(spec, exps) for exps, coeff in poly.items()),
-        Fraction(0),
+        values = vertex_values(spec, f)
+        d = math.lcm(*(v.denominator for v in values))
+        rows.append([v.numerator * (d // v.denominator) for v in values])
+        denominator *= d
+    m = len(rows)
+    if 3**m <= math.comb(m + r - 1, r - 1):
+        total = _sum_by_subsets(rows, r)
+    else:
+        total = _sum_by_exponents(rows, r)
+    return Fraction(
+        total * math.factorial(r - 1), math.factorial(m + r - 1) * denominator
     )
+
+
+def _sum_by_subsets(rows: list[list[int]], r: int) -> int:
+    """sum over phi of prod_i m_i! prod_j rows[j][phi(j)], vertex by vertex.
+
+    The state is the set U of forms already sent to earlier vertices; vertex
+    i takes a set T of the rest with weight |T|! prod_{j in T} rows[j][i].
+    """
+    m = len(rows)
+    full = (1 << m) - 1
+    factorials = [math.factorial(s) for s in range(m + 1)]
+    dp = [0] * (full + 1)
+    dp[0] = 1
+    for i in range(r):
+        column = [row[i] for row in rows]
+        if not any(column):
+            continue
+        product = [1] * (full + 1)
+        for subset in range(1, full + 1):
+            low = subset & -subset
+            product[subset] = product[subset ^ low] * column[low.bit_length() - 1]
+        weight = [p * factorials[s.bit_count()] for s, p in enumerate(product)]
+        # descending, so dp[U ^ T] still holds its value before vertex i
+        for union in range(full, 0, -1):
+            acc = dp[union]
+            taken = union
+            while taken:
+                if weight[taken]:
+                    acc += dp[union ^ taken] * weight[taken]
+                taken = (taken - 1) & union
+            dp[union] = acc
+    return dp[full]
+
+
+def _sum_by_exponents(rows: list[list[int]], r: int) -> int:
+    """The same sum as :func:`_sum_by_subsets`: expand prod_j sum_i
+    rows[j][i] z_i and weight each monomial z^m by prod_i m_i!.
+
+    An exponent vector m is kept as the integer sum_i m_i (M+1)^i.
+    """
+    base = len(rows) + 1
+    steps = [base**i for i in range(r)]
+    poly = {0: 1}
+    for row in rows:
+        nxt: dict[int, int] = {}
+        for key, coeff in poly.items():
+            for step, value in zip(steps, row):
+                if value:
+                    nxt[key + step] = nxt.get(key + step, 0) + coeff * value
+        poly = nxt
+    factorials = [math.factorial(s) for s in range(base)]
+    total = 0
+    for key, coeff in poly.items():
+        for _ in range(r):
+            key, exponent = divmod(key, base)
+            coeff *= factorials[exponent]
+        total += coeff
+    return total

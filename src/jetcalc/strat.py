@@ -685,8 +685,9 @@ def assignment_max(
     path's index is its count of strictly negative chosen values, and paths
     of index above ``max_index`` are dropped.  ``dp`` propagates subtree
     maxima and minima per remaining budget (choices in disjoint subtrees
-    are independent); ``brute`` enumerates all assignments.  A negative
-    ``max_index`` admits no path, so the maximum is 0.
+    are independent, so a subtree shared in memory is tabled once);
+    ``brute`` enumerates all assignments.  A negative ``max_index`` admits
+    no path, so the maximum is 0.
     """
     if algorithm not in ("dp", "brute"):
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'dp' or 'brute'")
@@ -696,8 +697,14 @@ def assignment_max(
     sign = -1 if i % 2 else 1
 
     if algorithm == "dp":
+        # options_of depends only on the edge object and every position of a
+        # shared subtree chooses independently, so the tables of a node are
+        # the same wherever it occurs
+        memo: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
 
         def tables(node: Node) -> tuple[list[Fraction], list[Fraction]]:
+            if id(node) in memo:
+                return memo[id(node)]
             if isinstance(node, Leaf):
                 deg = Fraction(node.degree)
                 return [deg] * (i + 1), [deg] * (i + 1)
@@ -725,6 +732,7 @@ def assignment_max(
                         worst = lo if worst is None or lo < worst else worst
                     maxs[budget] += best
                     mins[budget] += worst
+            memo[id(node)] = maxs, mins
             return maxs, mins
 
         maxs, mins = tables(root)

@@ -1,11 +1,15 @@
 """Shared test helpers: generators for randomized tree tests (seeded,
-deterministic) and finite differences of exact values."""
+deterministic), finite differences of exact values, and the monomial
+expansion of simplex expectations (the oracle for the vertex-value method)."""
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
+from typing import Sequence
 
+from jetcalc.simplex import AffineForm, SimplexSpec, monomial_moment
 from jetcalc.strat import (
     ChildEdge,
     EdgeCover,
@@ -150,3 +154,41 @@ def forward_difference(values, order):
     for j in range(order + 1):
         total = total + values[j] * ((-1) ** (order - j) * math.comb(order, j))
     return total
+
+
+def expanded_expectation(spec: SimplexSpec, forms: Sequence[AffineForm]) -> Fraction:
+    """E[prod_j f_j(T)] for T uniform on D_a, exactly.
+
+    The product is expanded into monomials and each monomial is integrated
+    with :func:`monomial_moment`.  For a single affine form this equals the
+    average of the form over the r vertices e_i / a_i.
+    """
+    r = spec.arity
+    for f in forms:
+        if f.arity != r:
+            raise ValueError(f"form arity {f.arity} does not match simplex arity {r}")
+    # polynomial as {exponent tuple: coefficient}
+    poly: dict[tuple[int, ...], Fraction] = {(0,) * r: Fraction(1)}
+    for f in forms:
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for exps, coeff in poly.items():
+            if f.constant:
+                c = nxt.get(exps, Fraction(0)) + coeff * f.constant
+                if c:
+                    nxt[exps] = c
+                else:
+                    nxt.pop(exps, None)
+            for i, ci in enumerate(f.coeffs):
+                if not ci:
+                    continue
+                bumped = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+                c = nxt.get(bumped, Fraction(0)) + coeff * ci
+                if c:
+                    nxt[bumped] = c
+                else:
+                    nxt.pop(bumped, None)
+        poly = nxt
+    return sum(
+        (coeff * monomial_moment(spec, exps) for exps, coeff in poly.items()),
+        Fraction(0),
+    )

@@ -179,6 +179,47 @@ def test_jet_bound(capsys, tmp_path):
     assert code == 0 and out == "15/4"  # H_2 * 5 / 2!
 
 
+def test_jet_bound_mc_json_reports_stderr(capsys, tmp_path):
+    # each edge's mark on the k=2 block simplex changes sign, so MC runs
+    edge = {"markings": {"L": 2, "N": -2}}
+    tree = {
+        "dimension": 2,
+        "bundles": [
+            {"label": "L", "denominator": 1},
+            {"label": "N", "denominator": 1},
+        ],
+        "root": {
+            "children": [{**edge, "node": {"children": [{**edge, "node": {"degree": 1}}]}}]
+        },
+    }
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    argv = ["jet-bound", "--tree", str(path), "--labels", "L", "--aux", "N", "--k", "2",
+            "--mc", "--samples", "20000"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "mc"
+    assert isinstance(data["stderr"], float) and data["stderr"] > 0
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and float(text) == data["coefficient"]
+
+
+def test_deep_tree_file_is_a_parse_error(capsys, tmp_path):
+    # built as text: json.dump of so deep an object overflows too
+    depth = 5000
+    root = '{"children": [{"markings": {"L": 1}, "node": ' * depth + '{"degree": 1}'
+    root += "}]}" * depth
+    deep = tmp_path / "deep.json"
+    deep.write_text(
+        f'{{"dimension": {depth}, "bundles": [{{"label": "L", "denominator": 1}}], '
+        f'"root": {root}}}'
+    )
+    code, out, err = run(capsys, "strat-degree", "--tree", str(deep), "--label", "L", "--upto", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
 def test_parse_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,9 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from _helpers import expanded_expectation
+from jetcalc import simplex
 from jetcalc.simplex import (
     AffineForm,
     DegenerateLatticeError,
@@ -176,3 +181,44 @@ def test_affine_expectation_examples():
     assert affine_product_expectation(spec, [f, f]) == Fraction(7, 12)
     # Var = 7/12 - 9/16 = 1/48
     assert Fraction(7, 12) - Fraction(3, 4) ** 2 == Fraction(1, 48)
+
+
+entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def weighted_forms(draw):
+    r = draw(st.integers(1, 7))
+    spec = SimplexSpec(draw(st.lists(st.integers(1, 5), min_size=r, max_size=r)))
+    forms = [
+        AffineForm(draw(entries), draw(st.lists(entries, min_size=r, max_size=r)))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return spec, forms
+
+
+def test_affine_expectation_matches_monomial_expansion():
+    # both summation methods are exact, so which one ran is read off spies
+    reached = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example((SimplexSpec((2, 3)), []))
+    @given(weighted_forms())
+    def check(case):
+        spec, forms = case
+        with mock.patch.object(
+            simplex, "_sum_by_subsets", wraps=simplex._sum_by_subsets
+        ) as subsets, mock.patch.object(
+            simplex, "_sum_by_exponents", wraps=simplex._sum_by_exponents
+        ) as exponents:
+            value = affine_product_expectation(spec, forms)
+        m, r = len(forms), spec.arity
+        by_subsets = 3**m <= math.comb(m + r - 1, r - 1)
+        assert (subsets.call_count, exponents.call_count) == (
+            (1, 0) if by_subsets else (0, 1)
+        )
+        assert value == expanded_expectation(spec, forms)
+        reached.add((by_subsets, m == 0))
+
+    check()
+    assert {(True, True), (True, False), (False, False)} <= reached

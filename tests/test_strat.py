@@ -23,6 +23,7 @@ from jetcalc.strat import (
     TreeStructureError,
     UnknownLabelError,
     ample_tree,
+    assignment_max,
     cover,
     degree_by_index,
     degree_truncated,
@@ -327,6 +328,33 @@ def test_max_marking_degree_brute_dp_random():
         tree = random_small_tree(rng, bundles, max_edges=8)
         labels = ["L1", "L2", "L3"][: rng.randint(1, 3)]
         i = rng.randint(0, tree.dimension)
+        assert max_marking_degree(tree, labels, i, "brute") == max_marking_degree(
+            tree, labels, i, "dp"
+        )
+
+
+def test_assignment_dp_tables_each_shared_subtree_once():
+    # nef_difference_tree shares each level's subtree between both children:
+    # 24 distinct edges at 8190 edge positions
+    tree = nef_difference_tree(12, 2, 3)
+    calls = {}
+
+    def options_of(edge):
+        calls[id(edge)] = calls.get(id(edge), 0) + 1
+        return [Fraction(edge.markings[label], tree.denominator(label)) for label in "FGL"]
+
+    value = assignment_max(tree.root, options_of, 2)
+    assert value == max_marking_degree(tree, ["F", "G", "L"], 2)
+    assert len(calls) == len({id(edge) for edge in tree.edges()}) == 24
+    assert set(calls.values()) == {1}
+
+
+def test_max_marking_degree_brute_dp_shared_subtrees():
+    # brute force expands shared subtrees into independent edge positions
+    cases = [(2, f, g, ["F", "G", "L"], i) for f, g in [(2, 3), (Fraction(1, 2), 1)]
+             for i in range(3)]
+    for n, f, g, labels, i in cases + [(3, 2, 3, ["G", "L"], 1)]:
+        tree = nef_difference_tree(n, f, g)
         assert max_marking_degree(tree, labels, i, "brute") == max_marking_degree(
             tree, labels, i, "dp"
         )
