@@ -17,6 +17,7 @@ are reproducible without flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -418,9 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls in the process."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except strat.TreeStructureError as err:

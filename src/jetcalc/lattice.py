@@ -10,7 +10,9 @@ exactly, computes the power sums
 
     S_p(m) = sum_{l in H_m} prod_i l_i^{p_i} / p_i!
 
-and their leading growth coefficients: S_p(m) is asymptotic to
+as the x^m coefficient of prod_i sum_l l^{p_i} x^{a_i l}, divided by
+prod_i p_i! (Beck and Robins, *Computing the Continuous Discretely*,
+ch. 3-4), and their leading growth coefficients: S_p(m) is asymptotic to
 
     gcd(a) / prod_i a_i^{p_i + 1}  *  m^{|p|+r-1} / (|p|+r-1)!
 
@@ -20,8 +22,10 @@ column reduction, and counts composition points inside the half-open cone
 cells spanned by that basis, which is the discrete skeleton of the
 Riemann-sum argument for simplex integrals.
 
-All arithmetic is exact; enumeration is output-sensitive recursive descent
-with remaining-budget pruning.
+All arithmetic is exact.  Power sums multiply integer series truncated at
+x^m, O(m^2 / a_i) operations per factor, and never visit H_m; enumeration,
+used for the cone-cell counts, is output-sensitive recursive descent with
+remaining-budget pruning.
 """
 
 from __future__ import annotations
@@ -80,6 +84,59 @@ def exponent_tuples(total: int, arity: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _weight_series(a: int, q: int, m: int) -> list[int]:
+    """Coefficients of x^0..x^m in sum_l l^q x^(a l)."""
+    series = [0] * (m + 1)
+    for l in range(m // a + 1):
+        series[a * l] = l**q
+    return series
+
+
+def _times_weight_series(series: list[int], a: int, q: int, m: int) -> list[int]:
+    """series * sum_l l^q x^(a l), truncated above x^m."""
+    out = series[:] if q == 0 else [0] * (m + 1)
+    for l in range(1, m // a + 1):
+        c = l**q
+        shift = a * l
+        out[shift:] = [x + c * y for x, y in zip(out[shift:], series)]
+    return out
+
+
+def _integer_power_sums(
+    weights: tuple[int, ...], m: int, vectors: Sequence[tuple[int, ...]]
+) -> list[int]:
+    """prod_i p_i! * S_p(m) for each p, by integer series convolution.
+
+    S_p(m) prod p_i! is the x^m coefficient of prod_i sum_l l^{p_i} x^{a_i l}.
+    The product of the first r-1 factors is memoized on the exponent prefix,
+    so vectors sharing a prefix share its convolutions; the first factor is
+    the series itself and the last one contributes only its x^m dot product.
+    """
+    if m < 0:
+        return [0] * len(vectors)
+    memo: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * m}
+
+    def prefix_series(prefix: tuple[int, ...]) -> list[int]:
+        series = memo.get(prefix)
+        if series is None:
+            j = len(prefix) - 1
+            if j == 0:
+                series = _weight_series(weights[0], prefix[0], m)
+            else:
+                series = _times_weight_series(
+                    prefix_series(prefix[:-1]), weights[j], prefix[j], m
+                )
+            memo[prefix] = series
+        return series
+
+    a = weights[-1]
+    sums = []
+    for p in vectors:
+        head = prefix_series(p[:-1])
+        sums.append(sum(l ** p[-1] * head[m - a * l] for l in range(m // a + 1)))
+    return sums
+
+
 def power_sum(spec: SimplexSpec, powers: Sequence[int], m: int) -> Fraction:
     """S_p(m) = sum over H_m of prod l_i^{p_i} / p_i!, exactly."""
     p = tuple(int(q) for q in powers)
@@ -87,24 +144,20 @@ def power_sum(spec: SimplexSpec, powers: Sequence[int], m: int) -> Fraction:
         raise ValueError(f"exponent vector arity {len(p)} != {spec.arity}")
     if any(q < 0 for q in p):
         raise ValueError("exponents must be non-negative")
-    total = 0
-    for l in enumerate_compositions(spec, m):
-        total += math.prod(li**pi for li, pi in zip(l, p))
+    (total,) = _integer_power_sums(spec.weights, m, [p])
     return Fraction(total, math.prod(math.factorial(q) for q in p))
 
 
 def power_sum_table(
     spec: SimplexSpec, degree: int, m: int
 ) -> dict[tuple[int, ...], Fraction]:
-    """All S_p(m) with |p| = degree, sharing a single enumeration of H_m."""
-    points = list(enumerate_compositions(spec, m))
-    table: dict[tuple[int, ...], Fraction] = {}
-    for p in exponent_tuples(degree, spec.arity):
-        total = 0
-        for l in points:
-            total += math.prod(li**pi for li, pi in zip(l, p))
-        table[p] = Fraction(total, math.prod(math.factorial(q) for q in p))
-    return table
+    """All S_p(m) with |p| = degree, sharing partial products across vectors."""
+    vectors = list(exponent_tuples(degree, spec.arity))
+    sums = _integer_power_sums(spec.weights, m, vectors)
+    return {
+        p: Fraction(total, math.prod(math.factorial(q) for q in p))
+        for p, total in zip(vectors, sums)
+    }
 
 
 def power_sum_asymptotic(spec: SimplexSpec, powers: Sequence[int]) -> Fraction:
@@ -279,12 +332,19 @@ def count_cone_points(
     gram = [
         [Fraction(sum(x * y for x, y in zip(v1, v2))) for v2 in vecs] for v1 in vecs
     ]
+    # The basis coordinates of (m0/m) l - u are P ((m0/m) l - u) with
+    # P = G^-1 V: solve for P once, column by column, and reuse it per point.
+    columns = [
+        _solve_fraction(gram, [Fraction(v[i]) for v in vecs]) for i in range(spec.arity)
+    ]
+    proj = list(zip(*columns))
+    offsets = [sum(pj * ui for pj, ui in zip(row, base)) for row in proj]
     scale = Fraction(m0, m)
     count = 0
     for l in enumerate_compositions(spec, m):
-        delta = [scale * li - ui for li, ui in zip(l, base)]
-        rhs = [sum((Fraction(x) * d for x, d in zip(v, delta)), Fraction(0)) for v in vecs]
-        coords = _solve_fraction(gram, rhs)
-        if all(0 <= c < 1 for c in coords):
+        if all(
+            0 <= scale * sum(pj * li for pj, li in zip(row, l)) - off < 1
+            for row, off in zip(proj, offsets)
+        ):
             count += 1
     return count

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping
 
 Scalar = int | Fraction
@@ -62,7 +63,7 @@ class GradedRing:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[int, ...]:
         return tuple(weight for _, weight in self.variables)
 
@@ -180,12 +181,17 @@ class GradedPoly:
         if isinstance(other, GradedPoly):
             self._check_ring(other)
             ring = self.ring
+            bound = ring.bound
+            right = [
+                (e2, c2, ring.weighted_degree(e2)) for e2, c2 in other._terms.items()
+            ]
             terms: dict[Exponents, Fraction] = {}
             for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    if ring.weighted_degree(exps) > ring.bound:
+                d1 = ring.weighted_degree(e1)
+                for e2, c2, d2 in right:
+                    if d1 + d2 > bound:
                         continue
+                    exps = tuple(a + b for a, b in zip(e1, e2))
                     total = terms.get(exps, Fraction(0)) + c1 * c2
                     if total:
                         terms[exps] = total

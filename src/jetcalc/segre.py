@@ -17,8 +17,9 @@ characteristic of the m-th weighted symmetric power: the exact sum
 
 grows like  gcd/prod a_i * [sum_{|p|=n} prod (x_i/a_i)^p_i] * m^{n+r-1}/(n+r-1)!
 
-and both sides are computed here, the exact one by composition enumeration,
-the limit one in closed form.
+and both sides are computed here, the exact one from the composition power
+sums of :mod:`lattice` (integer generating-function convolution), the limit
+one in closed form.
 
 Also included: the classical order-k jet-bundle surface coefficients
 (alpha_k, beta_k) with their degree-2 class (alpha_k c1^2 - beta_k c2)/k!,

@@ -1,6 +1,8 @@
 """Shared test helpers: generators for randomized tree tests (seeded,
-deterministic), finite differences of exact values, and the monomial
-expansion of simplex expectations (the oracle for the vertex-value method)."""
+deterministic), finite differences of exact values, the monomial
+expansion of simplex expectations (the oracle for the vertex-value method)
+and composition power sums by enumeration (the oracle for the
+generating-function convolution)."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from jetcalc.lattice import enumerate_compositions
 from jetcalc.simplex import AffineForm, SimplexSpec, monomial_moment
 from jetcalc.strat import (
     ChildEdge,
@@ -192,3 +195,15 @@ def expanded_expectation(spec: SimplexSpec, forms: Sequence[AffineForm]) -> Frac
         (coeff * monomial_moment(spec, exps) for exps, coeff in poly.items()),
         Fraction(0),
     )
+
+
+def enumerated_power_sum(
+    spec: SimplexSpec, powers: Sequence[int], m: int
+) -> Fraction:
+    """S_p(m) = sum over H_m of prod l_i^{p_i} / p_i!, by visiting every
+    composition of H_m."""
+    total = sum(
+        math.prod(li**pi for li, pi in zip(l, powers))
+        for l in enumerate_compositions(spec, m)
+    )
+    return Fraction(total, math.prod(math.factorial(q) for q in powers))

@@ -1,10 +1,12 @@
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from _helpers import random_tree
+from jetcalc import cli
 from jetcalc.cli import main
 from jetcalc.strat import tree_from_dict, tree_to_dict
 
@@ -247,6 +249,24 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_consecutive_commands(capsys):
+    # the parser is built once per process; a parse error between two
+    # commands still exits 2, and no flag value carries over to the next
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        code, out, _ = run(capsys, "chi-leading", "--weights", "1,1", "--n", "1", "--m", "4")
+        assert code == 0 and out == "10*x1 + 10*x2"
+        with pytest.raises(SystemExit) as exc:
+            main(["jet-rank", "--n", "2"])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        code, out, _ = run(capsys, "jet-rank", "--n", "2", "--k", "1", "--m", "3")
+        assert code == 0 and out == "4"
+        code, out, _ = run(capsys, "chi-leading", "--weights", "1,1", "--n", "1")
+        assert code == 0 and out == "x1 + x2"
+    assert build.call_count == 1
 
 
 def test_mc_experiment_reports(capsys, tmp_path):

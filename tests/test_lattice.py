@@ -3,13 +3,16 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from _helpers import enumerated_power_sum
 from jetcalc.lattice import (
     DegenerateLatticeError,
     InvalidCellError,
     LatticeBasis,
     count_cone_points,
     enumerate_compositions,
+    exponent_tuples,
     lattice_basis,
     power_sum,
     power_sum_asymptotic,
@@ -126,7 +129,50 @@ def test_power_sum_table_matches_power_sum():
     spec = SimplexSpec((1, 2, 2))
     table = power_sum_table(spec, 2, 8)
     for p, value in table.items():
-        assert value == power_sum(spec, p, 8)
+        assert value == power_sum(spec, p, 8) == enumerated_power_sum(spec, p, 8)
+
+
+@st.composite
+def power_sum_cases(draw):
+    r = draw(st.integers(1, 5))
+    spec = SimplexSpec(draw(st.lists(st.integers(1, 5), min_size=r, max_size=r)))
+    powers = tuple(draw(st.lists(st.integers(0, 4), min_size=r, max_size=r)))
+    return spec, powers, draw(st.integers(0, 4)), draw(st.integers(-2, 40))
+
+
+def test_power_sums_match_enumeration():
+    # the convolution against the composition-enumeration oracle, for single
+    # vectors and for whole tables that share prefix products
+    reached = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @example((SimplexSpec((3,)), (2,), 2, 9))
+    @example((SimplexSpec((3,)), (1,), 1, 10))
+    @example((SimplexSpec((2, 4)), (1, 3), 3, 7))
+    @example((SimplexSpec((1, 2)), (0, 0), 0, -1))
+    @given(power_sum_cases())
+    def check(case):
+        spec, powers, degree, m = case
+        assert power_sum(spec, powers, m) == enumerated_power_sum(spec, powers, m)
+        table = power_sum_table(spec, degree, m)
+        assert list(table) == list(exponent_tuples(degree, spec.arity))
+        for p, value in table.items():
+            assert value == enumerated_power_sum(spec, p, m)
+        reached.add(
+            "r=1" if spec.arity == 1 else "negative" if m < 0
+            else "off-gcd" if m % spec.gcd() else "on-gcd"
+        )
+
+    check()
+    assert reached == {"r=1", "negative", "off-gcd", "on-gcd"}
+
+
+def test_power_sum_table_at_a_deep_level():
+    spec = SimplexSpec((1, 1, 2, 3))
+    table = power_sum_table(spec, 3, 120)
+    assert len(table) == 20
+    for p, value in table.items():
+        assert value == enumerated_power_sum(spec, p, 120)
 
 
 def test_lattice_basis():
