@@ -210,9 +210,7 @@ def _cmd_strat_degree(args) -> int:
 
 def _cmd_strat_cmax(args) -> int:
     tree = _load_tree(args.tree)
-    value = strat.max_marking_degree(
-        tree, args.labels, args.upto, algorithm=args.algorithm
-    )
+    value = strat.max_marking_degree(tree, args.labels, args.upto)
     _emit(args, {"max": str(value)}, str(value))
     return 0
 
@@ -267,7 +265,7 @@ def _cmd_mc_experiment(args) -> int:
             raise ValueError("variance-bound needs --d with r comma-separated values")
         report = mc.variance_bound_check(args.k, args.r, args.d)
     elif args.name == "averaging":
-        if args.tree is None:
+        if None in (args.tree, args.labels, args.aux, args.whole):
             raise ValueError("averaging needs --tree, --labels, --aux and --whole")
         tree = _load_tree(args.tree)
         report = integrands.averaging_experiment(
@@ -362,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--labels", type=_names, required=True)
     p.add_argument("--upto", type=int, required=True)
-    p.add_argument("--algorithm", choices=("dp", "brute"), default="dp")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_strat_cmax)
 

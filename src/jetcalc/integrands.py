@@ -142,7 +142,6 @@ def max_tensor_degree(
     prob: MarkedSimplexProblem,
     points: Sequence[Sequence[Scalar]],
     max_index: int,
-    algorithm: str = "dp",
 ) -> Fraction:
     """Assignment maximum over per-edge choices among several points.
 
@@ -160,12 +159,10 @@ def max_tensor_degree(
             raise ValueError(f"point arity {len(u)} != problem arity {prob.arity}")
 
     def options_of(edge: ChildEdge) -> list[Fraction]:
-        coeffs = [prob.tree.effective(edge, label) for label in prob.labels]
-        return [
-            sum((ui * ci for ui, ci in zip(u, coeffs)), Fraction(0)) for u in pts
-        ]
+        form = prob.edge_form(edge, False)
+        return [form(u) for u in pts]
 
-    return assignment_max(prob.tree.root, options_of, max_index, algorithm=algorithm)
+    return assignment_max(prob.tree.root, options_of, max_index)
 
 
 # -- integration ----------------------------------------------------------------

@@ -43,7 +43,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,13 +108,6 @@ def map_blocks(
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         futures = [pool.submit(fn, b, n) for b, n in enumerate(sizes)]
         return [f.result() for f in futures]
-
-
-def sample_simplex(spec: SimplexSpec, cfg: MCConfig) -> Iterator[np.ndarray]:
-    """Stream of cfg.samples uniform points of D_a, one vector at a time."""
-    for b, n in enumerate(block_sizes(cfg.samples)):
-        block = sample_block(spec, cfg.seed, b, n)
-        yield from block
 
 
 @dataclass

@@ -17,9 +17,11 @@ characteristic of the m-th weighted symmetric power: the exact sum
 
 grows like  gcd/prod a_i * [sum_{|p|=n} prod (x_i/a_i)^p_i] * m^{n+r-1}/(n+r-1)!
 
-and both sides are computed here, the exact one from the composition power
-sums of :mod:`lattice` (integer generating-function convolution), the limit
-one in closed form.
+and both sides are computed here from the composition power sums of
+:mod:`lattice`: the exact one from their values (integer generating-function
+convolution), the limit one from their growth coefficients
+gcd(a) / prod a_i^{p_i+1} (``lattice.power_sum_asymptotic``; Beck and
+Robins, *Computing the Continuous Discretely*, ch. 3-4).
 
 Also included: the classical order-k jet-bundle surface coefficients
 (alpha_k, beta_k) with their degree-2 class (alpha_k c1^2 - beta_k c2)/k!,
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import lattice
 from .ring import GradedPoly, GradedRing
@@ -102,13 +104,9 @@ def segre_single(s_total: GradedPoly, rank: int, weight: int) -> GradedPoly:
     """
     if weight < 1:
         raise ValueError(f"weight must be >= 1, got {weight}")
-    ring = s_total.ring
-    result = ring.zero()
-    for l in range(ring.bound + 1):
-        part = s_total.component(l)
-        if part:
-            result = result + part * Fraction(1, weight**l)
-    return result * Fraction(1, weight ** (rank - 1))
+    # v -> v / a^w(v) divides every degree-l monomial by a^l
+    factors = {name: Fraction(1, weight**w) for name, w in s_total.ring.variables}
+    return s_total.scale_vars(factors) * Fraction(1, weight ** (rank - 1))
 
 
 def whitney_weighted(parts: Sequence[tuple[GradedPoly, int, int]]) -> GradedPoly:
@@ -149,20 +147,16 @@ def segre_series_split(roots: Sequence[GradedPoly]) -> GradedPoly:
     return result
 
 
-def chi_leading_exact(bundle: WeightedSplitBundle, n: int, m: int) -> GradedPoly:
-    """Exact symmetric-power Euler sum: sum_{a.l=m} (sum_i root_i l_i)^n / n!.
-
-    a_i is the weight of the factor containing root i.  Expanded by the
-    multinomial rule, the coefficient of the monomial prod root_i^{p_i} is
-    the composition power sum S_p(m); only compositions at level m enter,
-    so the result is 0 whenever gcd of the weights does not divide m.
-    """
+def _root_polynomial(
+    bundle: WeightedSplitBundle, n: int, table_of: Callable[[SimplexSpec], dict]
+) -> GradedPoly:
+    """sum over |p| = n of table[p] * prod root_i^{p_i}, where table is
+    ``table_of`` at the weights a_i of the roots in line order."""
     ring = bundle.ring
     if ring.bound < n:
         raise ValueError(f"ring bound {ring.bound} is below degree {n}")
     data = bundle.line_data()
-    spec = SimplexSpec(w for _, w in data)
-    table = lattice.power_sum_table(spec, n, m)
+    table = table_of(SimplexSpec(w for _, w in data))
     result = ring.zero()
     for p, value in table.items():
         if value == 0:
@@ -175,28 +169,31 @@ def chi_leading_exact(bundle: WeightedSplitBundle, n: int, m: int) -> GradedPoly
     return result
 
 
+def chi_leading_exact(bundle: WeightedSplitBundle, n: int, m: int) -> GradedPoly:
+    """Exact symmetric-power Euler sum: sum_{a.l=m} (sum_i root_i l_i)^n / n!.
+
+    a_i is the weight of the factor containing root i.  Expanded by the
+    multinomial rule, the coefficient of the monomial prod root_i^{p_i} is
+    the composition power sum S_p(m); only compositions at level m enter,
+    so the result is 0 whenever gcd of the weights does not divide m.
+    """
+    return _root_polynomial(bundle, n, lambda spec: lattice.power_sum_table(spec, n, m))
+
+
 def chi_leading_asymptotic(bundle: WeightedSplitBundle, n: int) -> GradedPoly:
     """Leading coefficient of the symmetric-power Euler sums:
 
         gcd(a)/prod a_i * sum_{|p|=n} prod (root_i / a_i)^{p_i},
 
     the limit of chi_leading_exact(m) * (n+r-1)! / m^{n+r-1} over m
-    divisible by gcd(a).
+    divisible by gcd(a).  The coefficient of each monomial is the growth
+    coefficient of its composition power sum.
     """
-    ring = bundle.ring
-    if ring.bound < n:
-        raise ValueError(f"ring bound {ring.bound} is below degree {n}")
-    data = bundle.line_data()
-    weights = [w for _, w in data]
-    prefactor = Fraction(math.gcd(*weights), math.prod(weights))
-    result = ring.zero()
-    for p in lattice.exponent_tuples(n, len(data)):
-        mono = ring.const(prefactor)
-        for (root, a), q in zip(data, p):
-            if q:
-                mono = mono * (root**q) * Fraction(1, a**q)
-        result = result + mono
-    return result
+    def table_of(spec: SimplexSpec) -> dict:
+        tuples = lattice.exponent_tuples(n, spec.arity)
+        return {p: lattice.power_sum_asymptotic(spec, p) for p in tuples}
+
+    return _root_polynomial(bundle, n, table_of)
 
 
 # -- classical surface coefficients ------------------------------------------

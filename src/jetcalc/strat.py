@@ -26,7 +26,8 @@ finite covers satisfying a per-edge projection-formula constraint (degrees
 scale by the covering degree), model trees for ample bundles and for nef
 differences, and the assignment maximum: the largest signed truncated
 degree over all ways of assigning one declared label to each edge,
-evaluated by brute force or by a min/max dynamic program over subtrees.
+evaluated by a min/max dynamic program over subtrees, with enumeration of
+every assignment (:func:`assignment_max_brute`) kept as its oracle.
 
 Trees are immutable after construction; all operations are pure.
 """
@@ -193,6 +194,8 @@ def tree_from_dict(data: Mapping) -> StratTree:
     {label: int}, "node": node}, ...]}`` and leaves ``{"degree": int}``.
     Markings may omit labels (numerator 0); unknown labels are an error.
     """
+    if not isinstance(data, Mapping):
+        raise TreeStructureError("tree must be an object")
     dimension = _require(data, "dimension", int, "tree")
     bundles_raw = _require(data, "bundles", list, "tree")
     bundles = []
@@ -331,6 +334,33 @@ def path_degrees(tree: StratTree, label: str) -> list[Fraction]:
     return by_index
 
 
+def assignment_max_brute(
+    root: Node,
+    options_of: Callable[[ChildEdge], Sequence[Fraction]],
+    max_index: int,
+) -> Fraction:
+    """:func:`assignment_max` by enumerating every assignment.
+
+    Exponential in the number of edge positions: the independent oracle
+    that the subtree dynamic program is tested against.  Shared subtrees
+    are expanded so that every edge position chooses on its own, and each
+    assignment is scored by :func:`truncated_sum`.
+    """
+    if max_index < 0:
+        return Fraction(0)
+    sign = -1 if max_index % 2 else 1
+    expanded = _remark(root, lambda edge: edge.markings)
+    edges = list(_edges(expanded))
+    best: Fraction | None = None
+    for combo in itertools.product(*(options_of(e) for e in edges)):
+        choice = {id(e): v for e, v in zip(edges, combo)}
+        value = sign * truncated_sum(expanded, lambda e: choice[id(e)], max_index)
+        if best is None or value > best:
+            best = value
+    assert best is not None
+    return best
+
+
 # -- refinements ----------------------------------------------------------------
 
 
@@ -381,12 +411,7 @@ def refine(
             raise TreeStructureError(
                 f"cannot attach a branch below a leaf at path {tuple(path)}"
             )
-        needed = result.dimension - len(path) - 1
         cleaned = _remark(branch, lambda edge: {label: 0 for label in result.labels})
-        if not _depth_exact(cleaned, needed):
-            raise TreeStructureError(
-                f"branch at path {tuple(path)} must have uniform depth {needed}"
-            )
         new_edge = ChildEdge(
             markings={label: 0 for label in result.labels}, child=cleaned
         )
@@ -410,15 +435,6 @@ def refine(
             root=rebuild(result.root, tuple(path)),
         )
     return result
-
-
-def _depth_exact(node: Node, expected: int) -> bool:
-    """True iff every root-to-leaf path of the branch has length ``expected``."""
-    if isinstance(node, Leaf):
-        return expected == 0
-    if expected <= 0:
-        return False
-    return all(_depth_exact(e.child, expected - 1) for e in node.children)
 
 
 # -- powers of the marking data ---------------------------------------------------
@@ -677,100 +693,63 @@ def assignment_max(
     root: Node,
     options_of: Callable[[ChildEdge], Sequence[Fraction]],
     max_index: int,
-    algorithm: str = "dp",
 ) -> Fraction:
     """Max over per-edge choices of (-1)^i times the index-truncated path sum.
 
     Each edge independently picks one value from ``options_of(edge)``; a
     path's index is its count of strictly negative chosen values, and paths
-    of index above ``max_index`` are dropped.  ``dp`` propagates subtree
-    maxima and minima per remaining budget (choices in disjoint subtrees
-    are independent, so a subtree shared in memory is tabled once);
-    ``brute`` enumerates all assignments.  A negative ``max_index`` admits
-    no path, so the maximum is 0.
+    of index above ``max_index`` are dropped.  A dynamic program propagates
+    subtree maxima and minima per remaining budget (choices in disjoint
+    subtrees are independent, so a subtree shared in memory is tabled
+    once).  A negative ``max_index`` admits no path, so the maximum is 0.
     """
-    if algorithm not in ("dp", "brute"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; use 'dp' or 'brute'")
     if max_index < 0:
         return Fraction(0)
     i = max_index
-    sign = -1 if i % 2 else 1
+    # options_of depends only on the edge object and every position of a
+    # shared subtree chooses independently, so the tables of a node are
+    # the same wherever it occurs
+    memo: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
 
-    if algorithm == "dp":
-        # options_of depends only on the edge object and every position of a
-        # shared subtree chooses independently, so the tables of a node are
-        # the same wherever it occurs
-        memo: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
-
-        def tables(node: Node) -> tuple[list[Fraction], list[Fraction]]:
-            if id(node) in memo:
-                return memo[id(node)]
-            if isinstance(node, Leaf):
-                deg = Fraction(node.degree)
-                return [deg] * (i + 1), [deg] * (i + 1)
-            maxs = [Fraction(0)] * (i + 1)
-            mins = [Fraction(0)] * (i + 1)
-            for edge in node.children:
-                child_max, child_min = tables(edge.child)
-                options = options_of(edge)
-                for budget in range(i + 1):
-                    best = None
-                    worst = None
-                    for value in options:
-                        if value > 0:
-                            lo = value * child_min[budget]
-                            hi = value * child_max[budget]
-                        elif value < 0:
-                            if budget >= 1:
-                                lo = value * child_max[budget - 1]
-                                hi = value * child_min[budget - 1]
-                            else:
-                                lo = hi = Fraction(0)
+    def tables(node: Node) -> tuple[list[Fraction], list[Fraction]]:
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Leaf):
+            deg = Fraction(node.degree)
+            return [deg] * (i + 1), [deg] * (i + 1)
+        maxs = [Fraction(0)] * (i + 1)
+        mins = [Fraction(0)] * (i + 1)
+        for edge in node.children:
+            child_max, child_min = tables(edge.child)
+            options = options_of(edge)
+            for budget in range(i + 1):
+                best = None
+                worst = None
+                for value in options:
+                    if value > 0:
+                        lo = value * child_min[budget]
+                        hi = value * child_max[budget]
+                    elif value < 0:
+                        if budget >= 1:
+                            lo = value * child_max[budget - 1]
+                            hi = value * child_min[budget - 1]
                         else:
                             lo = hi = Fraction(0)
-                        best = hi if best is None or hi > best else best
-                        worst = lo if worst is None or lo < worst else worst
-                    maxs[budget] += best
-                    mins[budget] += worst
-            memo[id(node)] = maxs, mins
-            return maxs, mins
+                    else:
+                        lo = hi = Fraction(0)
+                    best = hi if best is None or hi > best else best
+                    worst = lo if worst is None or lo < worst else worst
+                maxs[budget] += best
+                mins[budget] += worst
+        memo[id(node)] = maxs, mins
+        return maxs, mins
 
-        maxs, mins = tables(root)
-        return maxs[i] if sign == 1 else -mins[i]
-
-    # brute force: one independent choice per edge position
-    expanded = _remark(root, lambda edge: edge.markings)
-    edges = list(_edges(expanded))
-    option_lists = [list(options_of(e)) for e in edges]
-
-    def evaluate(choice: dict[int, Fraction]) -> Fraction:
-        def walk(node: Node, budget: int) -> Fraction:
-            if budget < 0:
-                return Fraction(0)
-            if isinstance(node, Leaf):
-                return Fraction(node.degree)
-            total = Fraction(0)
-            for e in node.children:
-                value = choice[id(e)]
-                sub = walk(e.child, budget - 1 if value < 0 else budget)
-                if sub:
-                    total += value * sub
-            return total
-
-        return walk(expanded, i)
-
-    best: Fraction | None = None
-    for combo in itertools.product(*option_lists):
-        choice = {id(e): v for e, v in zip(edges, combo)}
-        value = sign * evaluate(choice)
-        if best is None or value > best:
-            best = value
-    assert best is not None
-    return best
+    maxs, mins = tables(root)
+    return -mins[i] if i % 2 else maxs[i]
 
 
 def max_marking_degree(
-    tree: StratTree, labels: Sequence[str], max_index: int, algorithm: str = "dp"
+    tree: StratTree, labels: Sequence[str], max_index: int
 ) -> Fraction:
     """Max over edge-to-label assignments of the signed truncated degree.
 
@@ -788,7 +767,7 @@ def max_marking_degree(
     def options_of(edge: ChildEdge) -> list[Fraction]:
         return [Fraction(edge.markings[label], dens[label]) for label in labels]
 
-    return assignment_max(tree.root, options_of, max_index, algorithm=algorithm)
+    return assignment_max(tree.root, options_of, max_index)
 
 
 def validate_product_trivialization(

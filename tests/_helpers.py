@@ -70,6 +70,12 @@ def random_small_tree(
             return tree
 
 
+def label_options(tree: StratTree, labels: Sequence[str]):
+    """The per-edge choices of ``max_marking_degree``: each label's
+    effective marking, for ``assignment_max_brute``."""
+    return lambda edge: [tree.effective(edge, label) for label in labels]
+
+
 def random_cover_plan(
     rng: random.Random, node: Node, label: str, delta: int
 ) -> NodeCover | LeafCover:

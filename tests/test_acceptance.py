@@ -16,6 +16,7 @@ import numpy as np
 from _helpers import (
     forward_difference,
     internal_paths,
+    label_options,
     random_cover_plan,
     random_small_tree,
     random_tree,
@@ -44,6 +45,7 @@ from jetcalc.simplex import (
 )
 from jetcalc.strat import (
     InvalidCoverError,
+    assignment_max_brute,
     cover,
     degree_by_index,
     degree_truncated,
@@ -315,8 +317,8 @@ def test_criterion_7_assignment_max_brute_vs_dp():
         tree = random_small_tree(rng, bundles, max_edges=8)
         labels = ["L1", "L2", "L3"][: rng.randint(1, 3)]
         level = rng.randint(0, tree.dimension)
-        brute = max_marking_degree(tree, labels, level, "brute")
-        fast = max_marking_degree(tree, labels, level, "dp")
+        brute = assignment_max_brute(tree.root, label_options(tree, labels), level)
+        fast = max_marking_degree(tree, labels, level)
         if brute != fast:
             ok = False
     _finish(7, "500x assignment maximum, brute force == subtree dp", ok, started)

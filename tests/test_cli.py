@@ -5,10 +5,10 @@ from unittest import mock
 
 import pytest
 
-from _helpers import random_tree
+from _helpers import label_options, random_tree
 from jetcalc import cli
 from jetcalc.cli import main
-from jetcalc.strat import tree_from_dict, tree_to_dict
+from jetcalc.strat import assignment_max_brute, tree_from_dict, tree_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 TREE = str(GOLDEN / "two_leaf_tree.json")
@@ -94,21 +94,21 @@ def test_strat_cmax(capsys, tmp_path):
     path.write_text(json.dumps(tree))
     code, out, _ = run(capsys, "strat-cmax", "--tree", str(path), "--labels", "L1,L2", "--upto", "1")
     assert code == 0 and out == "2"
-    code, out, _ = run(
-        capsys, "strat-cmax", "--tree", str(path), "--labels", "L1,L2", "--upto", "0",
-        "--algorithm", "brute",
-    )
+    code, out, _ = run(capsys, "strat-cmax", "--tree", str(path), "--labels", "L1,L2", "--upto", "0")
     assert code == 0 and out == "1"
+    # strat-cmax takes no --algorithm flag: the subtree dp is its only method
+    with pytest.raises(SystemExit) as exc:
+        main(["strat-cmax", "--tree", str(path), "--labels", "L1,L2", "--upto", "0",
+              "--algorithm", "dp"])
+    assert exc.value.code == 2
 
 
 def test_negative_cap_admits_no_path(capsys):
     # every tree command reads a negative cap the same way: no path qualifies
-    for algorithm in ("dp", "brute"):
-        code, out, err = run(
-            capsys, "strat-cmax", "--tree", TREE, "--labels", "L", "--upto", "-1",
-            "--algorithm", algorithm,
-        )
-        assert (code, out, err) == (0, "0", "")
+    code, out, err = run(capsys, "strat-cmax", "--tree", TREE, "--labels", "L", "--upto", "-1")
+    assert (code, out, err) == (0, "0", "")
+    tree = tree_from_dict(json.loads(Path(TREE).read_text()))
+    assert assignment_max_brute(tree.root, label_options(tree, ["L"]), -1) == 0
     code, out, _ = run(capsys, "strat-degree", "--tree", TREE, "--label", "L", "--upto", "-1")
     assert code == 0 and out == "0"
 
@@ -332,3 +332,26 @@ def test_tree_roundtrip_through_cli_format(tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(tree_to_dict(tree)))
         assert tree_from_dict(json.loads(path.read_text())) == tree
+
+
+def test_averaging_without_its_labels_is_a_domain_error(capsys, tmp_path):
+    # each of --labels, --aux and --whole is required by the averaging experiment
+    path = tmp_path / "avg.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 1,
+                "bundles": [{"label": label, "denominator": 1} for label in "LNE"],
+                "root": {"children": [{"markings": {"L": 1, "E": 1}, "node": {"degree": 2}}]},
+            }
+        )
+    )
+    flags = {"--labels": "L", "--aux": "N", "--whole": "E"}
+    for left_out in flags:
+        argv = ["mc-experiment", "--name", "averaging", "--tree", str(path)]
+        for flag, value in flags.items():
+            if flag != left_out:
+                argv += [flag, value]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "averaging needs --tree, --labels, --aux and --whole" in err

@@ -1,0 +1,259 @@
+"""Property test of the CLI exit-code contract.
+
+Random argv over every subcommand, with flags left out, malformed, or
+given small valid values, and random tree files, valid or broken (wrong
+types, missing fields, bad depths, unknown labels, not JSON at all).
+Every run must end in exit code 0, 1 or 2; any other exception escaping
+``main`` is a traceback the user would see.  Values stay small so that
+every run is quick: at most 1024 samples and one or two workers.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+from jetcalc.cli import main
+
+SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+MALFORMED = st.sampled_from(["", "x", "1,,2", "2.5", "1/0", "-", "--json"])
+
+
+def _text(values):
+    return values.map(str)
+
+
+def _int_list(lo, hi, max_size):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=max_size).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+
+
+FLAG = object()  # a store_true flag: present or absent
+LABEL_LISTS = st.sampled_from(["L", "M", "L,M", "M,L", "L,L", "X", ",", "L,N"])
+LABELS = st.sampled_from(["L", "M", "N", "X", ""])
+TREES = st.sampled_from(["TREE", "TREE", "TREE", "MISSING"])
+MC_FLAGS = {
+    "--seed": _text(st.integers(-5, 2**70)),
+    "--samples": _text(st.integers(-1, 1024)),
+    "--workers": st.sampled_from(["1", "2", "0", "-1"]),
+}
+
+SUBCOMMANDS = {
+    "gg-coeff": {"--k": _text(st.integers(-1, 6))},
+    "jet-rank": {
+        "--n": _text(st.integers(-1, 4)),
+        "--k": _text(st.integers(-1, 4)),
+        "--m": _text(st.integers(-1, 12)),
+        "--json": FLAG,
+    },
+    "whitney": {
+        "--weights": _int_list(0, 4, 3),
+        "--ranks": _int_list(0, 3, 3),
+        "--bound": _text(st.integers(-1, 4)),
+        "--json": FLAG,
+    },
+    "chi-leading": {
+        "--weights": _int_list(0, 4, 4),
+        "--n": _text(st.integers(-1, 4)),
+        "--m": _text(st.integers(-2, 12)),
+        "--json": FLAG,
+    },
+    "simplex-moment": {
+        "--a": _int_list(0, 4, 4),
+        "--p": _int_list(0, 3, 4),
+        "--json": FLAG,
+    },
+    "simplex-volume": {"--a": _int_list(0, 4, 4), "--json": FLAG},
+    "lattice-sum": {
+        "--a": _int_list(0, 4, 4),
+        "--p": _int_list(0, 3, 4),
+        "--m": _text(st.integers(-2, 12)),
+        "--asymptotic": FLAG,
+        "--json": FLAG,
+    },
+    "strat-degree": {
+        "--tree": TREES,
+        "--label": LABELS,
+        "--upto": _text(st.integers(-1, 3)),
+        "--index": _text(st.integers(-1, 3)),
+        "--json": FLAG,
+    },
+    "strat-cmax": {
+        "--tree": TREES,
+        "--labels": LABEL_LISTS,
+        "--upto": _text(st.integers(-1, 3)),
+        "--json": FLAG,
+    },
+    "upsilon-integrate": {
+        "--tree": TREES,
+        "--labels": LABEL_LISTS,
+        "--a": _int_list(0, 3, 3),
+        "--upto": _text(st.integers(-1, 3)),
+        "--aux": LABELS,
+        "--aux-scale": st.sampled_from(["1", "1/2", "-3/2", "0"]),
+        "--mc": FLAG,
+        "--json": FLAG,
+        **MC_FLAGS,
+    },
+    "jet-bound": {
+        "--tree": TREES,
+        "--labels": LABEL_LISTS,
+        "--aux": LABELS,
+        "--k": _text(st.integers(-1, 3)),
+        "--mc": FLAG,
+        "--json": FLAG,
+        **MC_FLAGS,
+    },
+    "mc-experiment": {
+        "--name": st.sampled_from(
+            ["dirichlet-density", "negative-correlation", "variance-bound", "averaging",
+             "bogus"]
+        ),
+        "--k": _text(st.integers(-1, 4)),
+        "--r": _text(st.integers(-1, 3)),
+        "--d": st.lists(st.sampled_from(["1", "-2", "1/3", "0"]), min_size=1, max_size=3).map(
+            ",".join
+        ),
+        "--tree": TREES,
+        "--labels": LABEL_LISTS,
+        "--aux": LABELS,
+        "--whole": LABELS,
+        "--upto": _text(st.integers(-1, 3)),
+        "--k-values": _int_list(0, 4, 3),
+        **MC_FLAGS,
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    """One subcommand; each of its flags left out, malformed or valid.
+
+    Half the argvs are clean, with no malformed value, so that runs get
+    past the parser as often as they stop in it.
+    """
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    noisy = draw(st.booleans())
+    ways = ("valid", "valid", "omit", "malformed") if noisy else ("valid",) * 9 + ("omit",)
+    argv = [command]
+    for flag, values in SUBCOMMANDS[command].items():
+        if values is FLAG:
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        how = draw(st.sampled_from(ways))
+        if how == "malformed":
+            argv += [flag, draw(MALFORMED)]
+        elif how == "valid":
+            argv += [flag, draw(values)]
+    if noisy and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--bogus", "extra"])))
+    return argv
+
+
+@st.composite
+def valid_trees(draw):
+    dimension = draw(st.integers(0, 2))
+    labels = draw(st.lists(st.sampled_from("LMNE"), min_size=1, max_size=4, unique=True))
+
+    def node(depth):
+        if depth == dimension:
+            return {"degree": draw(st.integers(1, 3))}
+        return {
+            "children": [
+                {
+                    "markings": {
+                        label: draw(st.integers(-3, 3))
+                        for label in labels
+                        if draw(st.booleans())
+                    },
+                    "node": node(depth + 1),
+                }
+                for _ in range(draw(st.integers(0 if depth else 1, 2)))
+            ]
+        }
+
+    return {
+        "dimension": dimension,
+        "bundles": [
+            {"label": label, "denominator": draw(st.integers(1, 3))} for label in labels
+        ],
+        "root": node(0),
+    }
+
+
+def _objects(value):
+    """Every dict and list inside a JSON value, outermost first."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _objects(item)
+
+
+WRONG = st.sampled_from([None, "1", 1.5, True, [], {}, -1, 0, 10**30])
+
+
+@st.composite
+def tree_texts(draw):
+    """The text of a tree file: valid, or broken in one of several ways."""
+    how = draw(
+        st.sampled_from(("valid",) * 4 + ("replace", "delete", "depth", "unknown", "text"))
+    )
+    if how == "text":
+        return draw(st.sampled_from(["", "{not json", "[]", "3", "null", '"tree"', "{}"]))
+    tree = draw(valid_trees())
+    containers = list(_objects(tree))
+    target = draw(st.sampled_from(containers))
+    if how == "replace" and target:
+        key = draw(st.sampled_from(sorted(target) if isinstance(target, dict)
+                                   else range(len(target))))
+        target[key] = draw(WRONG)
+    elif how == "delete" and target:
+        key = draw(st.sampled_from(sorted(target) if isinstance(target, dict)
+                                   else range(len(target))))
+        del target[key]
+    elif how == "depth":
+        tree["dimension"] += draw(st.sampled_from([-1, 1]))
+    elif how == "unknown":
+        markings = [obj["markings"] for obj in containers
+                    if isinstance(obj, dict) and "markings" in obj]
+        if markings:
+            draw(st.sampled_from(markings))["X"] = 1
+    return json.dumps(tree)
+
+
+AVERAGING_TREE = json.dumps(
+    {
+        "dimension": 1,
+        "bundles": [{"label": label, "denominator": 1} for label in "LNE"],
+        "root": {"children": [{"markings": {"L": 1, "E": 1}, "node": {"degree": 2}}]},
+    }
+)
+
+
+@SETTINGS
+@given(argvs(), tree_texts())
+@example(["mc-experiment", "--name", "averaging", "--tree", "TREE"], AVERAGING_TREE)
+@example(["strat-degree", "--tree", "TREE", "--label", "L", "--upto", "0"], "3")
+def test_every_argv_exits_0_1_or_2(argv, tree_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree.json"
+        tree.write_text(tree_text)
+        paths = {"TREE": str(tree), "MISSING": str(Path(tmp) / "missing.json")}
+        argv = [paths.get(token, token) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert not out.getvalue() and err.getvalue()

@@ -19,7 +19,7 @@ from jetcalc.integrands import (
     twisted_index_sum,
 )
 from jetcalc.simplex import SimplexSpec
-from jetcalc.strat import Leaf, StratTree, tree_from_dict
+from jetcalc.strat import Leaf, StratTree, assignment_max_brute, tree_from_dict
 
 TWO_LABEL_SPLIT = tree_from_dict(
     {
@@ -191,8 +191,12 @@ def test_max_tensor_degree_brute_dp_agree():
             for _ in range(rng.randint(1, 3))
         ]
         i = rng.randint(0, tree.dimension)
-        assert max_tensor_degree(prob, points, i, "brute") == max_tensor_degree(
-            prob, points, i, "dp"
+
+        def options_of(edge, prob=prob, points=points):
+            return [prob.edge_form(edge, False)(u) for u in points]
+
+        assert assignment_max_brute(tree.root, options_of, i) == max_tensor_degree(
+            prob, points, i
         )
 
 

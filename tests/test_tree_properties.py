@@ -3,7 +3,7 @@
 ``degree_truncated``, ``degree_by_index`` and ``index_sum`` all run on
 ``strat.truncated_sum``; here they are compared with sums over
 ``StratTree.paths()`` on random trees and on model trees whose subtrees are
-shared in memory.
+shared in memory.  The same trees also go through the dict round trip.
 """
 
 from fractions import Fraction
@@ -23,6 +23,8 @@ from jetcalc.strat import (
     path_degrees,
     power_trivialization,
     refine,
+    tree_from_dict,
+    tree_to_dict,
 )
 
 LABELS = ("L", "M")
@@ -135,3 +137,9 @@ def test_index_sums_match_path_enumeration(tree, weights, point, scale):
             by_index[sum(value < 0 for value in marks)] += product
         for level in range(-1, tree.dimension + 2):
             assert evaluate(prob, point, level) == _prefix(by_index, level)
+
+
+@SETTINGS
+@given(st.one_of(random_trees(), shared_trees()))
+def test_dict_round_trip(tree):
+    assert tree_from_dict(tree_to_dict(tree)) == tree
