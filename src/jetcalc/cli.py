@@ -186,8 +186,6 @@ def _cmd_simplex_volume(args) -> int:
 
 def _cmd_lattice_sum(args) -> int:
     spec = SimplexSpec(args.a)
-    if args.asymptotic == (args.m is not None):
-        raise ValueError("give exactly one of --m (exact sum) or --asymptotic")
     if args.m is not None:
         value = lattice.power_sum(spec, args.p, args.m)
     else:
@@ -198,8 +196,6 @@ def _cmd_lattice_sum(args) -> int:
 
 def _cmd_strat_degree(args) -> int:
     tree = _load_tree(args.tree)
-    if (args.upto is None) == (args.index is None):
-        raise ValueError("give exactly one of --upto (truncated) or --index (exact)")
     if args.upto is not None:
         value = strat.degree_truncated(tree, args.label, args.upto)
     else:
@@ -240,10 +236,10 @@ def _cmd_upsilon_integrate(args) -> int:
 def _cmd_jet_bound(args) -> int:
     tree = _load_tree(args.tree)
     cfg = _mc_config(args) if args.mc else None
-    value, stderr = integrands.jet_bound_with_error(
+    value, stderr = integrands.jet_bound_coefficient(
         tree, args.labels, args.aux, args.k, cfg
     )
-    if isinstance(value, Fraction):
+    if stderr is None:
         _emit(args, {"coefficient": str(value), "method": "exact"}, str(value))
     else:
         _emit(
@@ -341,16 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a", type=_ints, required=True)
     p.add_argument("--p", type=_ints, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--asymptotic", action="store_true")
+    level = p.add_mutually_exclusive_group(required=True)
+    level.add_argument("--m", type=int, default=None)
+    level.add_argument("--asymptotic", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_lattice_sum)
 
     p = sub.add_parser("strat-degree", help="truncated or by-index tree degree")
     p.add_argument("--tree", required=True)
     p.add_argument("--label", required=True)
-    p.add_argument("--upto", type=int, default=None)
-    p.add_argument("--index", type=int, default=None)
+    cap = p.add_mutually_exclusive_group(required=True)
+    cap.add_argument("--upto", type=int, default=None)
+    cap.add_argument("--index", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_strat_degree)
 

@@ -19,7 +19,9 @@ affine), or when the index cap is at least n so no indicator survives: the
 integrand is then a single polynomial, and each path's product of edge
 forms integrates exactly from the forms' vertex values.  Otherwise a
 deterministic seeded Monte-Carlo fallback reports (estimate, standard
-error).
+error).  :func:`integrate` makes that choice for the jet bound and the
+averaging experiment: it returns the exact value with a standard error of
+None, or the Monte-Carlo pair when an edge form changes sign.
 
 The harmonic twist at order k replaces the auxiliary scale by H_k/(k r)
 with H_k = 1 + 1/2 + ... + 1/k, and expands the coordinates to the
@@ -246,22 +248,34 @@ def integrate_mc(
     ).reshape(len(forms), prob.arity)
     constants = np.array([float(f.constant) for f in forms])
 
-    def job(b: int, n: int) -> mc.MomentTally:
-        t = mc.sample_block(prob.simplex, cfg.seed, b, n)
-        marks = t @ coeff_matrix.T + constants  # (n, E)
+    def evaluate(t: np.ndarray) -> np.ndarray:
+        marks = t @ coeff_matrix.T + constants  # (block, E)
         neg = marks < 0
-        values = np.zeros(n)
+        values = np.zeros(len(t))
         for cols, degree in paths:
             keep = neg[:, cols].sum(axis=1) <= max_index
             values += np.where(keep, marks[:, cols].prod(axis=1) * degree, 0.0)
-        tally = mc.MomentTally.empty(1)
-        tally.absorb(values[:, None])
-        return tally
+        return values[:, None]
 
-    total = mc.MomentTally.empty(1)
-    for part in mc.map_blocks(cfg, job):
-        total.merge(part)
+    total = mc._tally_statistics(prob.simplex, cfg, 1, evaluate)
     return float(total.mean()[0]), float(total.stderr()[0])
+
+
+def integrate(
+    prob: MarkedSimplexProblem, max_index: int, cfg: mc.MCConfig | None = None
+) -> tuple[Fraction | float, float | None]:
+    """The integral of the index sum, exactly when possible.
+
+    Returns (exact value, None) from :func:`integrate_exact`.  When an edge
+    form changes sign, returns :func:`integrate_mc`'s (estimate, standard
+    error) if ``cfg`` is given and re-raises :class:`MixedSignError` if not.
+    """
+    try:
+        return integrate_exact(prob, max_index), None
+    except MixedSignError:
+        if cfg is None:
+            raise
+        return integrate_mc(prob, max_index, cfg)
 
 
 # -- harmonic twist and the jet bound coefficient ---------------------------------
@@ -303,41 +317,26 @@ def jet_bound_coefficient(
     aux_label: str,
     k: int,
     cfg: mc.MCConfig | None = None,
-) -> Fraction | float:
-    """Leading coefficient of the order-k first-cohomology jet bound.
+) -> tuple[Fraction | float, float | None]:
+    """Leading coefficient of the order-k first-cohomology jet bound, and
+    its standard error.
 
     binom(n+kr-1, kr-1) / (k!)^r  times the integral of the twisted index
-    sum at index cap 1 over the block-weighted simplex.  The exact route is
-    taken when the sign structure allows; otherwise the Monte-Carlo
-    fallback runs with ``cfg`` (required in that case) and a float is
-    returned.
+    sum at index cap 1 over the block-weighted simplex, taken by
+    :func:`integrate`: an exact ``Fraction`` and None when the sign
+    structure allows, otherwise a float and the coefficient times the
+    integral's standard error (``cfg`` is then required).
     """
-    return jet_bound_with_error(tree, base_labels, aux_label, k, cfg)[0]
-
-
-def jet_bound_with_error(
-    tree: StratTree,
-    base_labels: Sequence[str],
-    aux_label: str,
-    k: int,
-    cfg: mc.MCConfig | None = None,
-) -> tuple[Fraction | float, float | None]:
-    """:func:`jet_bound_coefficient` and its standard error: the coefficient
-    times the integral's standard error on the Monte-Carlo route, None on
-    the exact route."""
     n = tree.dimension
     r = len(tuple(base_labels))
     problem = harmonic_twist(tree, base_labels, aux_label, k)
     coefficient = Fraction(
         math.comb(n + k * r - 1, k * r - 1), math.factorial(k) ** r
     )
-    try:
-        return coefficient * integrate_exact(problem, 1), None
-    except MixedSignError:
-        if cfg is None:
-            raise
-        estimate, stderr = integrate_mc(problem, 1, cfg)
-        return float(coefficient) * estimate, float(coefficient) * stderr
+    value, stderr = integrate(problem, 1, cfg)
+    if stderr is None:
+        return coefficient * value, None
+    return float(coefficient) * value, float(coefficient) * stderr
 
 
 def averaging_experiment(
@@ -362,8 +361,11 @@ def averaging_experiment(
 
     is reported next to the target degree_truncated(tree, whole, i); the
     (log k)^n scaling is reported alongside for comparison (k >= 2).
-    ``method`` is "auto", "exact" or "mc".
+    ``method`` is "auto" (:func:`integrate`) or "mc" (:func:`integrate_mc`).
     """
+    integrators = {"auto": integrate, "mc": integrate_mc}
+    if method not in integrators:
+        raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
     if not validate_product_trivialization(tree, base_labels, whole_label, aux_label):
         raise InvalidTrivializationError(
             f"{whole_label!r} markings are not the sum of {list(base_labels)} "
@@ -376,18 +378,10 @@ def averaging_experiment(
     for k in k_values:
         problem = harmonic_twist(tree, base_labels, aux_label, k)
         h = harmonic_number(k)
-        used = method
-        stderr = 0.0
-        if method in ("auto", "exact"):
-            try:
-                value = float(integrate_exact(problem, max_index))
-                used = "exact"
-            except MixedSignError:
-                if method == "exact":
-                    raise
-                used = "mc"
-        if used == "mc":
-            value, stderr = integrate_mc(problem, max_index, cfg)
+        value, stderr = integrators[method](problem, max_index, cfg)
+        used = "exact" if stderr is None else "mc"
+        value = float(value)
+        stderr = 0.0 if stderr is None else stderr
         scaled = (k * r) ** n * value / float(h) ** n
         row = {
             "experiment": "averaging",

@@ -77,7 +77,7 @@ class GradedRing:
         return self.const(1)
 
     def const(self, value: Scalar) -> GradedPoly:
-        return GradedPoly(self, {(0,) * len(self.variables): Fraction(value)})
+        return self.from_terms({(0,) * len(self.variables): value})
 
     def gen(self, name: str) -> GradedPoly:
         """The variable ``name`` as a polynomial."""
@@ -86,14 +86,25 @@ class GradedRing:
         except ValueError:
             raise KeyError(f"no variable named {name!r} in ring {self.names}") from None
         exps = tuple(1 if i == index else 0 for i in range(len(self.variables)))
-        return GradedPoly(self, {exps: Fraction(1)})
+        return self.from_terms({exps: 1})
 
     def gens(self) -> tuple[GradedPoly, ...]:
         return tuple(self.gen(name) for name in self.names)
 
     def from_terms(self, terms: Mapping[Exponents, Scalar]) -> GradedPoly:
-        """Build a polynomial; zero coefficients and over-bound terms are dropped."""
-        return GradedPoly(self, {exps: Fraction(c) for exps, c in terms.items()})
+        """Build a polynomial from raw terms: exponents are checked, zero and
+        over-bound terms dropped, and coefficients made ``Fraction``s."""
+        nvars = len(self.variables)
+        clean: dict[Exponents, Fraction] = {}
+        for exps, coeff in terms.items():
+            if len(exps) != nvars:
+                raise ValueError(f"exponent tuple {exps} has wrong arity for {self.names}")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            if coeff == 0 or self.weighted_degree(exps) > self.bound:
+                continue
+            clean[exps] = Fraction(coeff)
+        return GradedPoly(self, clean)
 
 
 class GradedPoly:
@@ -101,25 +112,17 @@ class GradedPoly:
 
     Stored as a map from dense exponent tuples to nonzero ``Fraction``
     coefficients; terms of weighted degree above the ring bound are never
-    stored.  Instances are immutable by convention: no method mutates
-    ``self`` and the term map must not be modified by callers.
+    stored.  The constructor keeps the map it is given, so its terms must
+    already be clean; :meth:`GradedRing.from_terms` cleans raw terms.
+    Instances are immutable by convention: no method mutates ``self`` and
+    the term map must not be modified by callers.
     """
 
     __slots__ = ("ring", "_terms")
 
-    def __init__(self, ring: GradedRing, terms: Mapping[Exponents, Fraction]):
-        nvars = len(ring.variables)
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms.items():
-            if len(exps) != nvars:
-                raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if coeff == 0 or ring.weighted_degree(exps) > ring.bound:
-                continue
-            clean[exps] = Fraction(coeff)
+    def __init__(self, ring: GradedRing, terms: dict[Exponents, Fraction]):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GradedPoly is immutable")

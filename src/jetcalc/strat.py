@@ -29,6 +29,9 @@ degree over all ways of assigning one declared label to each edge,
 evaluated by a min/max dynamic program over subtrees, with enumeration of
 every assignment (:func:`assignment_max_brute`) kept as its oracle.
 
+A cover plan or a refinement path is checked in the same walk that builds
+the new tree, and the first fault met in that walk is the one reported.
+
 Trees are immutable after construction; all operations are pure.
 """
 
@@ -380,18 +383,6 @@ def _remark(node: Node, markings_of: Callable[[ChildEdge], dict[str, int]]) -> N
     )
 
 
-def _node_at(tree: StratTree, path: Sequence[int]) -> Node:
-    node: Node = tree.root
-    for step in path:
-        if isinstance(node, Leaf):
-            raise TreeStructureError(f"path {tuple(path)} descends through a leaf")
-        try:
-            node = node.children[step].child
-        except IndexError:
-            raise TreeStructureError(f"path {tuple(path)} leaves the tree") from None
-    return node
-
-
 def refine(
     tree: StratTree, insertions: Sequence[tuple[Sequence[int], Node]]
 ) -> StratTree:
@@ -406,33 +397,35 @@ def refine(
     """
     result = tree
     for path, branch in insertions:
-        target = _node_at(result, path)
-        if isinstance(target, Leaf):
-            raise TreeStructureError(
-                f"cannot attach a branch below a leaf at path {tuple(path)}"
-            )
+        path = tuple(path)
         cleaned = _remark(branch, lambda edge: {label: 0 for label in result.labels})
         new_edge = ChildEdge(
             markings={label: 0 for label in result.labels}, child=cleaned
         )
 
-        def rebuild(node: Node, remaining: tuple[int, ...]) -> Node:
-            if not remaining:
-                assert isinstance(node, InternalNode)
+        def rebuild(node: Node, depth: int) -> Node:
+            if isinstance(node, Leaf):
+                if depth == len(path):
+                    raise TreeStructureError(
+                        f"cannot attach a branch below a leaf at path {path}"
+                    )
+                raise TreeStructureError(f"path {path} descends through a leaf")
+            if depth == len(path):
                 return InternalNode(children=node.children + (new_edge,))
-            assert isinstance(node, InternalNode)
-            step = remaining[0]
             edges = list(node.children)
-            edges[step] = ChildEdge(
-                markings=edges[step].markings,
-                child=rebuild(edges[step].child, remaining[1:]),
+            try:
+                edge = edges[path[depth]]
+            except IndexError:
+                raise TreeStructureError(f"path {path} leaves the tree") from None
+            edges[path[depth]] = ChildEdge(
+                markings=edge.markings, child=rebuild(edge.child, depth + 1)
             )
             return InternalNode(children=tuple(edges))
 
         result = StratTree(
             dimension=result.dimension,
             bundles=result.bundles,
-            root=rebuild(result.root, tuple(path)),
+            root=rebuild(result.root, 0),
         )
     return result
 
@@ -500,20 +493,21 @@ class NodeCover:
     edges: tuple[EdgeCover, ...]
 
 
-def _cover_degree(plan: "NodeCover | LeafCover", node: Node, label: str) -> int:
-    """Relative covering degree of a validated plan over a branch.
+def _cover(plan: "NodeCover | LeafCover", node: Node, label: str) -> tuple[Node, int]:
+    """The covered branch and the relative covering degree of a plan over it.
 
-    The degree is read off the projection sums of the edges whose original
-    numerator is nonzero (all must agree, and each sum must be a positive
-    integer multiple of its numerator).  If every child edge is zero-marked
-    the markings carry no ramification information; the convention is then
-    that pieces are unramified, so the degree is the common sum of the
-    pieces' degrees per edge.
+    The plan is checked while the branch is built.  The degree is read off
+    the projection sums of the edges whose original numerator is nonzero
+    (all must agree, and each sum must be a positive integer multiple of
+    its numerator).  If every child edge is zero-marked the markings carry
+    no ramification information; the convention is then that pieces are
+    unramified, so the degree is the common sum of the pieces' degrees per
+    edge.
     """
     if isinstance(plan, LeafCover):
         if not isinstance(node, Leaf):
             raise InvalidCoverError("leaf plan attached to an internal node")
-        return plan.multiplier
+        return Leaf(degree=plan.multiplier * node.degree), plan.multiplier
     if not isinstance(node, InternalNode):
         raise InvalidCoverError("node plan attached to a leaf")
     if len(plan.edges) != len(node.children):
@@ -522,6 +516,7 @@ def _cover_degree(plan: "NodeCover | LeafCover", node: Node, label: str) -> int:
         )
     any_marked = any(edge.markings[label] != 0 for edge in node.children)
     delta: int | None = None
+    edges: list[ChildEdge] = []
     for edge, edge_plan in zip(node.children, plan.edges):
         m = edge.markings[label]
         total = 0
@@ -533,7 +528,8 @@ def _cover_degree(plan: "NodeCover | LeafCover", node: Node, label: str) -> int:
                 raise InvalidCoverError(
                     f"piece numerator {new_num} does not preserve the sign of {m}"
                 )
-            sub_degree = _cover_degree(sub, edge.child, label)
+            child, sub_degree = _cover(sub, edge.child, label)
+            edges.append(ChildEdge(markings={**edge.markings, label: new_num}, child=child))
             total += new_num * sub_degree
             piece_degrees += sub_degree
         if m != 0:
@@ -556,23 +552,7 @@ def _cover_degree(plan: "NodeCover | LeafCover", node: Node, label: str) -> int:
         raise InvalidCoverError(
             "covering degree is undetermined: the node has no children"
         )
-    return delta
-
-
-def _apply_cover(plan: "NodeCover | LeafCover", node: Node, label: str) -> Node:
-    if isinstance(plan, LeafCover):
-        assert isinstance(node, Leaf)
-        return Leaf(degree=plan.multiplier * node.degree)
-    assert isinstance(node, InternalNode)
-    edges: list[ChildEdge] = []
-    for edge, edge_plan in zip(node.children, plan.edges):
-        for new_num, sub in edge_plan.pieces:
-            markings = dict(edge.markings)
-            markings[label] = new_num
-            edges.append(
-                ChildEdge(markings=markings, child=_apply_cover(sub, edge.child, label))
-            )
-    return InternalNode(children=tuple(edges))
+    return InternalNode(children=tuple(edges)), delta
 
 
 def cover(
@@ -589,13 +569,8 @@ def cover(
     multiply their degrees by their piece's relative degree.
     """
     tree.denominator(label)
-    delta = _cover_degree(plan, tree.root, label)
-    covered = StratTree(
-        dimension=tree.dimension,
-        bundles=tree.bundles,
-        root=_apply_cover(plan, tree.root, label),
-    )
-    return covered, delta
+    root, delta = _cover(plan, tree.root, label)
+    return StratTree(dimension=tree.dimension, bundles=tree.bundles, root=root), delta
 
 
 def identity_cover(node: Node, label: str) -> "NodeCover | LeafCover":
@@ -760,8 +735,6 @@ def max_marking_degree(
     """
     if not labels:
         raise ValueError("label set must be non-empty")
-    for label in labels:
-        tree.denominator(label)
     dens = {label: tree.denominator(label) for label in labels}
 
     def options_of(edge: ChildEdge) -> list[Fraction]:

@@ -72,13 +72,29 @@ def test_lattice_sum(capsys):
     assert code == 0 and out == "4"
     code, out, _ = run(capsys, "lattice-sum", "--a", "1,2", "--p", "0,0", "--asymptotic")
     assert code == 0 and out == "1/2"
-    code, _, err = run(capsys, "lattice-sum", "--a", "1,2", "--p", "0,0")
-    assert code == 1 and "exactly one" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice-sum", "--a", "1,2", "--p", "0,0"])
+    assert exc.value.code == 2
 
 
 def test_strat_degree_by_index(capsys):
     code, out, _ = run(capsys, "strat-degree", "--tree", TREE, "--label", "L", "--index", "1")
     assert code == 0 and out == "-1"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "one of the arguments --upto --index is required"),
+        (["--upto", "1", "--index", "1"], "argument --index: not allowed with argument --upto"),
+    ],
+)
+def test_strat_degree_needs_exactly_one_of_upto_and_index(capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["strat-degree", "--tree", TREE, "--label", "L", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jetcalc strat-degree") and message in err
 
 
 def test_strat_cmax(capsys, tmp_path):

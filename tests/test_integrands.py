@@ -9,9 +9,11 @@ from jetcalc.integrands import (
     MarkedSimplexProblem,
     MissingTwistError,
     MixedSignError,
+    averaging_experiment,
     harmonic_number,
     harmonic_twist,
     index_sum,
+    integrate,
     integrate_exact,
     integrate_mc,
     jet_bound_coefficient,
@@ -354,6 +356,42 @@ def test_integrate_mc_matches_exact_with_twist():
         assert abs(estimate - float(exact)) <= 4 * max(stderr, 1e-15)
 
 
+def test_integrate_exact_when_sign_definite_else_mc():
+    cfg = mc.MCConfig(seed=21, samples=70_000, workers=2)
+    definite = problem(TWO_LABEL_SPLIT, ("L1", "L2"), (1, 2))
+    for with_cfg in (cfg, None):
+        value, stderr = integrate(definite, 0, with_cfg)
+        assert stderr is None
+        assert isinstance(value, Fraction) and value == integrate_exact(definite, 0)
+    mixed = problem(SINGLE_EDGE, ("L1", "L2"), (1, 1))
+    assert integrate(mixed, 0, cfg) == integrate_mc(mixed, 0, cfg)
+    with pytest.raises(MixedSignError):
+        integrate(mixed, 0)
+
+
+def test_averaging_experiment_rejects_unknown_method():
+    # E = L + N on the single edge, so the tree factors
+    tree = tree_from_dict(
+        {
+            "dimension": 1,
+            "bundles": [
+                {"label": "L", "denominator": 1},
+                {"label": "N", "denominator": 1},
+                {"label": "E", "denominator": 1},
+            ],
+            "root": {
+                "children": [{"markings": {"L": 1, "E": 1}, "node": {"degree": 1}}]
+            },
+        }
+    )
+    cfg = mc.MCConfig(seed=1, samples=1000)
+    report = averaging_experiment(tree, ["L"], "N", "E", 0, [2], cfg)
+    assert report["records"][0]["params"]["method"] == "exact"
+    for method in ("bogus", "exact"):
+        with pytest.raises(ValueError, match="method must be 'auto' or 'mc'"):
+            averaging_experiment(tree, ["L"], "N", "E", 0, [2], cfg, method=method)
+
+
 def test_harmonic_twist():
     assert harmonic_number(1) == 1
     assert harmonic_number(2) == Fraction(3, 2)
@@ -402,8 +440,9 @@ def test_jet_bound_coefficient_n1_formula():
     )
     c1 = Fraction(2 * 1 + 1 * 3)
     for k in (1, 2, 3, 4):
-        value = jet_bound_coefficient(tree, ["L"], "N", k)
+        value, stderr = jet_bound_coefficient(tree, ["L"], "N", k)
         assert value == harmonic_number(k) * c1 / math.factorial(k)
+        assert stderr is None
 
 
 def test_jet_bound_coefficient_positive_tree_full_cap():
@@ -437,7 +476,7 @@ def test_jet_bound_coefficient_positive_tree_full_cap():
     coefficient = Fraction(
         math.comb(n + k * r - 1, k * r - 1), math.factorial(k) ** r
     )
-    assert jet_bound_coefficient(tree, ["L"], "N", k) == coefficient * full
+    assert jet_bound_coefficient(tree, ["L"], "N", k) == (coefficient * full, None)
 
 
 def test_jet_bound_requires_cfg_for_mixed_sign():
@@ -466,7 +505,8 @@ def test_jet_bound_requires_cfg_for_mixed_sign():
     )
     with pytest.raises(MixedSignError):
         jet_bound_coefficient(tree, ["L"], "N", 2)
-    value = jet_bound_coefficient(
+    value, stderr = jet_bound_coefficient(
         tree, ["L"], "N", 2, mc.MCConfig(seed=3, samples=50_000)
     )
     assert isinstance(value, float)
+    assert isinstance(stderr, float) and stderr > 0

@@ -446,3 +446,120 @@ def test_validate_product_trivialization():
         }
     )
     assert validate_product_trivialization(zero_aux, ["L"], "E", "N")
+
+
+def _cover_case(tree_dict, plan):
+    return lambda: cover(tree_from_dict(tree_dict), "L", plan)
+
+
+def _refine_case(tree_dict, insertions):
+    return lambda: refine(tree_from_dict(tree_dict), insertions)
+
+
+def _one_edge(marking):
+    return {
+        "dimension": 1,
+        "bundles": [{"label": "L", "denominator": 1}],
+        "root": {"children": [{"markings": {"L": marking}, "node": {"degree": 1}}]},
+    }
+
+
+CHILDLESS = {"dimension": 1, "bundles": [{"label": "L", "denominator": 1}],
+             "root": {"children": []}}
+ONE_STEP = InternalNode(children=(ChildEdge(markings={"L": 0}, child=Leaf(degree=1)),))
+
+
+def _pieces(*pieces):
+    return EdgeCover(pieces=tuple(pieces))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            _cover_case(TWO_LEAF, LeafCover(1)),
+            InvalidCoverError, "leaf plan attached to an internal node",
+            id="leaf-plan-on-internal-node",
+        ),
+        pytest.param(
+            _cover_case(_one_edge(3), NodeCover(edges=(_pieces((3, NodeCover(edges=()))),))),
+            InvalidCoverError, "node plan attached to a leaf",
+            id="node-plan-on-leaf",
+        ),
+        pytest.param(
+            _cover_case(TWO_LEAF, NodeCover(edges=(_pieces((2, LeafCover(1))),))),
+            InvalidCoverError, "plan covers 1 edges, node has 2",
+            id="wrong-edge-count",
+        ),
+        pytest.param(
+            _cover_case(_one_edge(0), NodeCover(edges=(_pieces((1, LeafCover(1))),))),
+            InvalidCoverError, "zero-marked edge must split with zero numerators",
+            id="zero-edge-nonzero-piece",
+        ),
+        pytest.param(
+            _cover_case(_one_edge(3), NodeCover(edges=(_pieces((3, LeafCover(1)), (-3, LeafCover(1))),))),
+            InvalidCoverError, "piece numerator -3 does not preserve the sign of 3",
+            id="sign-flip",
+        ),
+        pytest.param(
+            _cover_case(_one_edge(3), NodeCover(edges=(_pieces((2, LeafCover(1))),))),
+            InvalidCoverError, "projection sum 2 is not a positive integer multiple of 3",
+            id="projection-not-a-multiple",
+        ),
+        pytest.param(
+            _cover_case(TWO_LEAF, NodeCover(edges=(_pieces((2, LeafCover(1))),
+                                                   _pieces((-1, LeafCover(2)))))),
+            InvalidCoverError, "inconsistent covering degrees 1 and 2 at one node",
+            id="inconsistent-degrees",
+        ),
+        pytest.param(
+            _cover_case(CHILDLESS, NodeCover(edges=())),
+            InvalidCoverError, "covering degree is undetermined: the node has no children",
+            id="childless-node",
+        ),
+        pytest.param(
+            # the first edge's projection fault is met before the second
+            # edge's sub-plan is visited
+            _cover_case(TWO_LEAF, NodeCover(edges=(_pieces((1, LeafCover(1))),
+                                                   _pieces((-1, NodeCover(edges=())))))),
+            InvalidCoverError, "projection sum 1 is not a positive integer multiple of 2",
+            id="first-fault-in-walk-order",
+        ),
+        pytest.param(
+            _refine_case(TWO_LEAF, [((0, 0), Leaf(degree=1))]),
+            TreeStructureError, "path (0, 0) descends through a leaf",
+            id="path-through-leaf",
+        ),
+        pytest.param(
+            _refine_case(TWO_LEAF, [((2,), Leaf(degree=1))]),
+            TreeStructureError, "path (2,) leaves the tree",
+            id="path-leaves-tree",
+        ),
+        pytest.param(
+            _refine_case(TWO_LEAF, [((-3,), Leaf(degree=1))]),
+            TreeStructureError, "path (-3,) leaves the tree",
+            id="negative-path-leaves-tree",
+        ),
+        pytest.param(
+            _refine_case(TWO_LEAF, [((0,), Leaf(degree=1))]),
+            TreeStructureError, "cannot attach a branch below a leaf at path (0,)",
+            id="attach-below-leaf",
+        ),
+        pytest.param(
+            # insertions apply in order: the second one walks the grown tree
+            _refine_case(CHAIN, [((), ONE_STEP), ((1, 0), Leaf(degree=1))]),
+            TreeStructureError, "cannot attach a branch below a leaf at path (1, 0)",
+            id="attach-below-inserted-leaf",
+        ),
+    ],
+)
+def test_cover_and_refine_error_paths(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def test_refine_negative_child_index_counts_from_the_end():
+    chain = tree_from_dict(CHAIN)
+    assert refine(chain, [((-1,), Leaf(degree=4))]) == refine(chain, [((0,), Leaf(degree=4))])
