@@ -45,7 +45,7 @@ from .ring import Scalar
 from .simplex import (
     AffineForm,
     SimplexSpec,
-    affine_product_expectation,
+    vertex_product_expectation,
     vertex_values,
 )
 from .strat import (
@@ -170,23 +170,19 @@ def max_tensor_degree(
 # -- integration ----------------------------------------------------------------
 
 
-def _classify_edge(prob: MarkedSimplexProblem, form: AffineForm) -> int:
+def _classify_edge(values: Sequence[Fraction]) -> int:
     """Sign of an affine form on the simplex: +1 never negative, -1 negative
     almost everywhere, 0 identically zero; raises on a genuine sign change.
 
     An affine form on a simplex attains its extremes at the vertices
     e_l / a_l, so the vertex values coeff_l / a_l + constant decide.
     """
-    values = vertex_values(prob.simplex, form)
-    if all(v == 0 for v in values):
-        return 0
-    if all(v >= 0 for v in values):
-        return 1
-    if all(v <= 0 for v in values):
-        return -1
-    raise MixedSignError(
-        "an edge form changes sign on the simplex; use Monte-Carlo integration"
-    )
+    low, high = min(values), max(values)
+    if low < 0 < high:
+        raise MixedSignError(
+            "an edge form changes sign on the simplex; use Monte-Carlo integration"
+        )
+    return -1 if low < 0 else int(high > 0)
 
 
 def _compile(
@@ -218,17 +214,18 @@ def integrate_exact(prob: MarkedSimplexProblem, max_index: int) -> Fraction:
     degree times the exact expectation of the product of its edge forms.
     """
     forms, paths = _compile(prob, prob.aux_label is not None)
+    values = [vertex_values(prob.simplex, form) for form in forms]
     negative: set[int] = set()
     if max_index < prob.tree.dimension:
         # only edges on some path: a childless internal node ends no path
         on_paths = {c for cols, _ in paths for c in cols}
-        negative = {c for c in on_paths if _classify_edge(prob, forms[c]) < 0}
+        negative = {c for c in on_paths if _classify_edge(values[c]) < 0}
     total = Fraction(0)
     for cols, degree in paths:
         if sum(c in negative for c in cols) > max_index:
             continue
-        total += degree * affine_product_expectation(
-            prob.simplex, [forms[c] for c in cols]
+        total += degree * vertex_product_expectation(
+            prob.arity, [values[c] for c in cols]
         )
     return total
 

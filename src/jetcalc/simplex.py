@@ -18,7 +18,7 @@ computed in closed form over exact rationals:
 
 * exact expectations of products of affine forms, by vertex values: each
   form is homogenized on D_a and the product is integrated over the
-  standard simplex (see :func:`affine_product_expectation`).
+  standard simplex (see :func:`vertex_product_expectation`).
 
 Pure functions on immutable values; safe to share across threads.
 """
@@ -267,7 +267,15 @@ def vertex_values(spec: SimplexSpec, form: AffineForm) -> tuple[Fraction, ...]:
 def affine_product_expectation(
     spec: SimplexSpec, forms: Sequence[AffineForm]
 ) -> Fraction:
-    """E[prod_j f_j(T)] for T uniform on D_a, exactly, from vertex values.
+    """E[prod_j f_j(T)] for T uniform on D_a, exactly, from vertex values."""
+    return vertex_product_expectation(
+        spec.arity, [vertex_values(spec, f) for f in forms]
+    )
+
+
+def vertex_product_expectation(r: int, rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """E[prod_j f_j(T)] for T uniform on an arity-r simplex D_a, exactly,
+    given each form's vertex values ``rows[j]`` (see :func:`vertex_values`).
 
     On D_a a constant c equals c * sum_i a_i t_i, so each form is
     sum_i v_i z_i with v_i its vertex values and z = (a_i t_i) uniform on the
@@ -284,19 +292,17 @@ def affine_product_expectation(
     r 3^M steps) or an expansion over degree-M exponent vectors (about
     r binom(M+r-1, r-1)).
     """
-    r = spec.arity
-    rows: list[list[int]] = []
+    scaled: list[list[int]] = []
     denominator = 1
-    for f in forms:
-        values = vertex_values(spec, f)
+    for values in rows:
         d = math.lcm(*(v.denominator for v in values))
-        rows.append([v.numerator * (d // v.denominator) for v in values])
+        scaled.append([v.numerator * (d // v.denominator) for v in values])
         denominator *= d
-    m = len(rows)
+    m = len(scaled)
     if 3**m <= math.comb(m + r - 1, r - 1):
-        total = _sum_by_subsets(rows, r)
+        total = _sum_by_subsets(scaled, r)
     else:
-        total = _sum_by_exponents(rows, r)
+        total = _sum_by_exponents(scaled, r)
     return Fraction(
         total * math.factorial(r - 1), math.factorial(m + r - 1) * denominator
     )

@@ -15,8 +15,10 @@ markings times its leaf degree.  The central quantities are
 
 both computed by :func:`truncated_sum`, the sign-splitting recursion
 (positive children keep the index budget, negative children consume one
-unit).  :func:`path_degrees` enumerates every path instead; it is
-exponential in n and is kept as the independent oracle for the recursion.
+unit), on the integer numerators: every path has exactly n edges, so one
+division by d^n at the end gives the exact value.  :func:`path_degrees`
+enumerates every path instead; it is exponential in n and is kept as the
+independent oracle for the recursion.
 
 The module also provides structure-preserving transformations with exactly
 computable effect on truncated degrees: refinements by zero-marked
@@ -25,9 +27,10 @@ or stay fixed depending on whether the denominator absorbs the power),
 finite covers satisfying a per-edge projection-formula constraint (degrees
 scale by the covering degree), model trees for ample bundles and for nef
 differences, and the assignment maximum: the largest signed truncated
-degree over all ways of assigning one declared label to each edge,
-evaluated by a min/max dynamic program over subtrees, with enumeration of
-every assignment (:func:`assignment_max_brute`) kept as its oracle.
+degree over all ways of assigning one declared label to each edge, by the
+same recursion carrying a (max, min) pair (a negative choice swaps them)
+over numerators scaled to the lcm of the labels' denominators, with
+enumeration of every assignment (:func:`assignment_max_brute`) as oracle.
 
 A cover plan or a refinement path is checked in the same walk that builds
 the new tree, and the first fault met in that walk is the one reported.
@@ -39,9 +42,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .ring import Scalar
 
@@ -268,54 +271,78 @@ def tree_to_dict(tree: StratTree) -> dict:
 # -- truncated degrees ---------------------------------------------------------
 
 
+def _signed_range(
+    root: Node, options_of: Callable[[ChildEdge], Sequence[Scalar]], max_index: int
+) -> tuple[Scalar, Scalar]:
+    """(max, min) over per-edge choices among ``options_of(edge)`` of the
+    sum over paths with at most ``max_index`` negative choices.
+
+    A positive choice keeps the index budget and scales the child's (max,
+    min), a negative one consumes one unit and swaps them, a zero kills its
+    path, a leaf returns its degree and a negative budget returns 0.
+    Choices in disjoint subtrees are independent, so results are memoized
+    on (node identity, budget): a shared subtree is evaluated once per budget.
+    """
+    memo: dict[tuple[int, int], tuple[Scalar, Scalar]] = {}
+
+    def rec(node: Node, budget: int) -> tuple[Scalar, Scalar]:
+        if budget < 0:
+            return 0, 0
+        if isinstance(node, Leaf):
+            return node.degree, node.degree
+        key = (id(node), budget)
+        if key not in memo:
+            high = low = 0
+            for edge in node.children:
+                best = worst = None
+                for value in options_of(edge):
+                    if value > 0:
+                        child_high, child_low = rec(edge.child, budget)
+                        hi, lo = value * child_high, value * child_low
+                    elif value < 0:
+                        child_high, child_low = rec(edge.child, budget - 1)
+                        hi, lo = value * child_low, value * child_high
+                    else:
+                        hi = lo = 0
+                    best = hi if best is None or hi > best else best
+                    worst = lo if worst is None or lo < worst else worst
+                high += best
+                low += worst
+            memo[key] = high, low
+        return memo[key]
+
+    return rec(root, max_index)
+
+
 def truncated_sum(
     root: Node, value_of: Callable[[ChildEdge], Scalar], max_index: int
 ) -> Fraction:
     """Sum over root-to-leaf paths with at most ``max_index`` strictly
     negative edge values of the product of the values times the leaf degree.
 
-    The sign-splitting recursion: children with a positive value recurse
-    with the same index budget, children with a negative value consume one
-    unit, zero-valued children contribute nothing (a zero kills its path,
-    so counting it as non-negative is inert), and a leaf returns its degree
-    while the budget is non-negative.  Subtree sums are memoized on node
-    identity, so subtrees shared in memory are summed once per budget.
+    The sign-splitting recursion with one choice per edge, where the
+    maximum and the minimum agree.
     """
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def rec(node: Node, budget: int) -> Fraction:
-        if budget < 0:
-            return Fraction(0)
-        if isinstance(node, Leaf):
-            return Fraction(node.degree)
-        key = (id(node), budget)
-        if key not in memo:
-            total = Fraction(0)
-            for edge in node.children:
-                value = value_of(edge)
-                if value == 0:
-                    continue
-                sub = rec(edge.child, budget - 1 if value < 0 else budget)
-                if sub:
-                    total += value * sub
-            memo[key] = total
-        return memo[key]
-
-    return rec(root, max_index)
+    total, _ = _signed_range(root, lambda edge: (value_of(edge),), max_index)
+    return Fraction(total)
 
 
 def degree_truncated(tree: StratTree, label: str, max_index: int) -> Fraction:
     """Sum of marking products times leaf degrees over paths of index at
     most max_index."""
     den = tree.denominator(label)
-    return truncated_sum(
-        tree.root, lambda edge: Fraction(edge.markings[label], den), max_index
-    )
+    total = truncated_sum(tree.root, lambda edge: edge.markings[label], max_index)
+    return total / den**tree.dimension
 
 
 def degree_by_index(tree: StratTree, label: str, index: int) -> Fraction:
     """Sum of marking products times leaf degrees over paths of exact index."""
-    return degree_truncated(tree, label, index) - degree_truncated(tree, label, index - 1)
+    den = tree.denominator(label)
+
+    def upto(level: int) -> Fraction:
+        return truncated_sum(tree.root, lambda edge: edge.markings[label], level)
+
+    return (upto(index) - upto(index - 1)) / den**tree.dimension
 
 
 def path_degrees(tree: StratTree, label: str) -> list[Fraction]:
@@ -345,7 +372,7 @@ def assignment_max_brute(
     """:func:`assignment_max` by enumerating every assignment.
 
     Exponential in the number of edge positions: the independent oracle
-    that the subtree dynamic program is tested against.  Shared subtrees
+    that the (max, min) recursion is tested against.  Shared subtrees
     are expanded so that every edge position chooses on its own, and each
     assignment is scored by :func:`truncated_sum`.
     """
@@ -666,61 +693,27 @@ def nef_difference_tree(n: int, f: Scalar, g: Scalar) -> StratTree:
 
 def assignment_max(
     root: Node,
-    options_of: Callable[[ChildEdge], Sequence[Fraction]],
+    options_of: Callable[[ChildEdge], Sequence[Scalar]],
     max_index: int,
 ) -> Fraction:
     """Max over per-edge choices of (-1)^i times the index-truncated path sum.
 
-    Each edge independently picks one value from ``options_of(edge)``; a
-    path's index is its count of strictly negative chosen values, and paths
-    of index above ``max_index`` are dropped.  A dynamic program propagates
-    subtree maxima and minima per remaining budget (choices in disjoint
-    subtrees are independent, so a subtree shared in memory is tabled
-    once).  A negative ``max_index`` admits no path, so the maximum is 0.
+    Each edge independently picks one value from ``options_of(edge)``, which
+    is called once per edge object; a path's index is its count of strictly
+    negative chosen values, and paths of index above ``max_index`` are
+    dropped.  The sign-splitting recursion gives the largest and the
+    smallest sum, and the parity of i picks one.  A negative ``max_index``
+    admits no path, so the maximum is 0.
     """
-    if max_index < 0:
-        return Fraction(0)
-    i = max_index
-    # options_of depends only on the edge object and every position of a
-    # shared subtree chooses independently, so the tables of a node are
-    # the same wherever it occurs
-    memo: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
+    options: dict[int, Sequence[Scalar]] = {}
 
-    def tables(node: Node) -> tuple[list[Fraction], list[Fraction]]:
-        if id(node) in memo:
-            return memo[id(node)]
-        if isinstance(node, Leaf):
-            deg = Fraction(node.degree)
-            return [deg] * (i + 1), [deg] * (i + 1)
-        maxs = [Fraction(0)] * (i + 1)
-        mins = [Fraction(0)] * (i + 1)
-        for edge in node.children:
-            child_max, child_min = tables(edge.child)
-            options = options_of(edge)
-            for budget in range(i + 1):
-                best = None
-                worst = None
-                for value in options:
-                    if value > 0:
-                        lo = value * child_min[budget]
-                        hi = value * child_max[budget]
-                    elif value < 0:
-                        if budget >= 1:
-                            lo = value * child_max[budget - 1]
-                            hi = value * child_min[budget - 1]
-                        else:
-                            lo = hi = Fraction(0)
-                    else:
-                        lo = hi = Fraction(0)
-                    best = hi if best is None or hi > best else best
-                    worst = lo if worst is None or lo < worst else worst
-                maxs[budget] += best
-                mins[budget] += worst
-        memo[id(node)] = maxs, mins
-        return maxs, mins
+    def cached(edge: ChildEdge) -> Sequence[Scalar]:
+        if id(edge) not in options:
+            options[id(edge)] = options_of(edge)
+        return options[id(edge)]
 
-    maxs, mins = tables(root)
-    return -mins[i] if i % 2 else maxs[i]
+    high, low = _signed_range(root, cached, max_index)
+    return Fraction(-low if max_index % 2 else high)
 
 
 def max_marking_degree(
@@ -731,16 +724,20 @@ def max_marking_degree(
     For an assignment phi, the tree is remarked with each edge's phi-label
     marking; the value is (-1)^i times the index-truncated degree, and the
     maximum ranges over all |labels|^(#edges) assignments.  With a single
-    label this collapses to (-1)^i * degree_truncated.
+    label this collapses to (-1)^i * degree_truncated.  Numerators are
+    scaled to the lcm of the labels' denominators, a positive factor that
+    keeps maxima, and divided by lcm^n once.
     """
     if not labels:
         raise ValueError("label set must be non-empty")
     dens = {label: tree.denominator(label) for label in labels}
+    common = math.lcm(*dens.values())
+    scale = [(label, common // den) for label, den in dens.items()]
 
-    def options_of(edge: ChildEdge) -> list[Fraction]:
-        return [Fraction(edge.markings[label], dens[label]) for label in labels]
+    def options_of(edge: ChildEdge) -> list[int]:
+        return [edge.markings[label] * factor for label, factor in scale]
 
-    return assignment_max(tree.root, options_of, max_index)
+    return assignment_max(tree.root, options_of, max_index) / common**tree.dimension
 
 
 def validate_product_trivialization(

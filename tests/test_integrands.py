@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from _helpers import random_tree
-from jetcalc import mc
+from jetcalc import integrands, mc, simplex
 from jetcalc.integrands import (
     MarkedSimplexProblem,
     MissingTwistError,
@@ -21,7 +21,13 @@ from jetcalc.integrands import (
     twisted_index_sum,
 )
 from jetcalc.simplex import SimplexSpec
-from jetcalc.strat import Leaf, StratTree, assignment_max_brute, tree_from_dict
+from jetcalc.strat import (
+    Leaf,
+    StratTree,
+    assignment_max_brute,
+    nef_difference_tree,
+    tree_from_dict,
+)
 
 TWO_LABEL_SPLIT = tree_from_dict(
     {
@@ -267,6 +273,26 @@ def test_integrate_exact_mixed_sign():
         }
     )
     assert integrate_exact(problem(dead_end, ("L1", "L2"), (1, 1)), 0) == Fraction(1, 6)
+
+
+def test_integrate_exact_computes_vertex_values_once_per_edge_form(monkeypatch):
+    # nef_difference_tree(3, ...) has 6 distinct edge objects at 14 positions
+    # on 8 paths; the F-edge form 2 t1 + 2 t2 is positive and the G-edge
+    # form -3 t2 is negative, so both the sign analysis and the expectations run
+    prob = problem(nef_difference_tree(3, 2, 3), ("F", "L"), (1, 2))
+    calls = []
+    original = simplex.vertex_values
+
+    def spy(spec, form):
+        calls.append(form)
+        return original(spec, form)
+
+    monkeypatch.setattr(integrands, "vertex_values", spy)
+    monkeypatch.setattr(simplex, "vertex_values", spy)
+    for cap in range(4):
+        calls.clear()
+        integrate_exact(prob, cap)
+        assert len(calls) == 6
 
 
 def test_integrate_mc_against_exact():

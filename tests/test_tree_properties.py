@@ -4,12 +4,16 @@
 ``strat.truncated_sum``; here they are compared with sums over
 ``StratTree.paths()`` on random trees and on model trees whose subtrees are
 shared in memory.  The same trees also go through the dict round trip.
+``max_marking_degree``, which scales integer numerators to a common
+denominator, is compared with ``assignment_max_brute`` over ``Fraction``
+markings on small trees whose labels have unrelated denominators.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from _helpers import label_options
 from jetcalc.integrands import MarkedSimplexProblem, index_sum, twisted_index_sum
 from jetcalc.simplex import SimplexSpec
 from jetcalc.strat import (
@@ -17,8 +21,10 @@ from jetcalc.strat import (
     InternalNode,
     Leaf,
     StratTree,
+    assignment_max_brute,
     degree_by_index,
     degree_truncated,
+    max_marking_degree,
     nef_difference_tree,
     path_degrees,
     power_trivialization,
@@ -28,6 +34,7 @@ from jetcalc.strat import (
 )
 
 LABELS = ("L", "M")
+SCALED_LABELS = ("A", "B", "C")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -80,6 +87,34 @@ def shared_trees(draw):
             tree, "L", draw(st.integers(1, 3)), keep_denominator=draw(st.booleans())
         )
     return tree
+
+
+@st.composite
+def small_scaled_trees(draw):
+    """Trees of at most 6 edges (brute force tries 3^6 assignments) whose
+    three labels have denominators drawn independently from 1..6, with
+    numerators in [-3, 3]; an internal node below the root may have no
+    children."""
+    dimension = draw(st.integers(0, 3))
+    bundles = tuple((label, draw(st.integers(1, 6))) for label in SCALED_LABELS)
+    budget = [6]
+
+    def build(depth):
+        if depth == dimension:
+            return Leaf(degree=draw(st.integers(1, 3)))
+        width = draw(st.integers(0 if depth else 1, min(2, budget[0])))
+        budget[0] -= width
+        return InternalNode(
+            children=tuple(
+                ChildEdge(
+                    markings={label: draw(st.integers(-3, 3)) for label in SCALED_LABELS},
+                    child=build(depth + 1),
+                )
+                for _ in range(width)
+            )
+        )
+
+    return StratTree(dimension=dimension, bundles=bundles, root=build(0))
 
 
 def _prefix(by_index, level):
@@ -137,6 +172,21 @@ def test_index_sums_match_path_enumeration(tree, weights, point, scale):
             by_index[sum(value < 0 for value in marks)] += product
         for level in range(-1, tree.dimension + 2):
             assert evaluate(prob, point, level) == _prefix(by_index, level)
+
+
+@SETTINGS
+@given(
+    small_scaled_trees(),
+    st.lists(st.sampled_from(SCALED_LABELS), min_size=1, max_size=3, unique=True),
+)
+def test_integer_scaling_matches_fraction_oracles(tree, labels):
+    for label in labels:
+        _check_degrees(tree, label)
+    options_of = label_options(tree, labels)
+    for level in range(-1, tree.dimension + 1):
+        assert max_marking_degree(tree, labels, level) == assignment_max_brute(
+            tree.root, options_of, level
+        )
 
 
 @SETTINGS
