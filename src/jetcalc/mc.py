@@ -89,9 +89,9 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
 def sample_block(spec: SimplexSpec, seed: int, block_index: int, count: int) -> np.ndarray:
     """One (count, r) block of uniform points of D_a."""
     rng = block_rng(seed, block_index)
-    exp = rng.standard_exponential((count, spec.arity))
-    z = exp / exp.sum(axis=1, keepdims=True)
-    return z / np.asarray(spec.weights, dtype=float)
+    points = rng.standard_exponential((count, spec.arity))
+    np.divide(points, points.sum(axis=1, keepdims=True), out=points)
+    return np.divide(points, np.asarray(spec.weights, dtype=float), out=points)
 
 
 def map_blocks(
@@ -173,6 +173,13 @@ def block_weights(k: int, r: int) -> SimplexSpec:
     return SimplexSpec(j for j in range(1, k + 1) for _ in range(r))
 
 
+def _yprime(samples: np.ndarray, k: int, r: int) -> np.ndarray:
+    """Y'_j = j * Y_j with Y_j = sum_l X_{j,l}; rows with a zero block sum
+    (a measure-zero event) are dropped."""
+    y = np.asarray(samples, dtype=float).reshape(-1, k, r).sum(axis=2)
+    return y[(y != 0).all(axis=1)] * np.arange(1, k + 1)
+
+
 def jets_decomposition(
     samples: np.ndarray, k: int, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,10 +193,7 @@ def jets_decomposition(
     x = np.asarray(samples, dtype=float).reshape(-1, k, r)
     y = x.sum(axis=2)
     keep = (y != 0).all(axis=1)
-    x, y = x[keep], y[keep]
-    yprime = y * np.arange(1, k + 1)
-    z = x / y[:, :, None]
-    return yprime, z
+    return _yprime(samples, k, r), x[keep] / y[keep][:, :, None]
 
 
 def _record(
@@ -248,13 +252,18 @@ def dirichlet_density_check(k: int, r: int, cfg: MCConfig) -> dict:
         for q in exponents
     ]
 
-    exp_arr = np.asarray(exponents, dtype=float)
-
     def stats(block: np.ndarray) -> np.ndarray:
-        yprime, _ = jets_decomposition(block, k, r)
-        # prod over coordinates of yprime**q, one column per exponent vector;
-        # column by column, so no (block, moments, k) temporary is built
-        return np.column_stack([np.prod(yprime**q, axis=1) for q in exp_arr])
+        yprime = _yprime(block, k, r)
+        # squared with an array exponent, the power loop of yprime**q (a
+        # broadcast scalar 2 takes numpy's exact-square path, which rounds
+        # differently); the other factors of the product are 1 and exact
+        squares = yprime ** np.full(k, 2.0)
+        columns = []
+        for q in exponents:
+            # |q| <= 2, so the nonzero exponents are (1,), (1, 1) or (2,)
+            factors = [yprime[:, j] if e == 1 else squares[:, j] for j, e in enumerate(q) if e]
+            columns.append(factors[0] if len(factors) == 1 else factors[0] * factors[1])
+        return np.column_stack(columns)
 
     tally = _tally_statistics(spec, cfg, len(exponents), stats)
     means, errs = tally.mean(), tally.stderr()

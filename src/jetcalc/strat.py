@@ -35,7 +35,10 @@ enumeration of every assignment (:func:`assignment_max_brute`) as oracle.
 A cover plan or a refinement path is checked in the same walk that builds
 the new tree, and the first fault met in that walk is the one reported.
 
-Trees are immutable after construction; all operations are pure.
+Trees are immutable after construction; all operations are pure.  Subtrees
+may be shared in memory, and :func:`tree_from_dict` shares every pair of
+structurally equal ones; the recursions memoize on node identity, so they
+cost the distinct subtrees, not the positions.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class StratTree:
 
     Construction validates: uniform depth n, leaf degrees >= 1, positive
     denominators, unique labels, and complete marking maps (one integer
-    numerator per declared label on every edge).
+    numerator per declared label on every edge).  A node shared in memory
+    is checked once per depth it is reached at.
     """
 
     dimension: int
@@ -105,6 +109,7 @@ class StratTree:
                     f"denominator of {label!r} must be >= 1, got {den}"
                 )
         label_set = set(names)
+        checked: set[tuple[int, int]] = set()
 
         def walk(node: Node, depth: int) -> None:
             if isinstance(node, Leaf):
@@ -117,6 +122,9 @@ class StratTree:
                         f"leaf degree must be >= 1, got {node.degree}"
                     )
                 return
+            if (id(node), depth) in checked:
+                return
+            checked.add((id(node), depth))
             if depth >= self.dimension:
                 raise TreeStructureError(
                     f"internal node at depth {depth} exceeds dimension {self.dimension}"
@@ -162,8 +170,9 @@ class StratTree:
     def edges(self) -> Iterator[ChildEdge]:
         """Every edge position in pre-order: an edge, then the edges below it.
 
-        An edge object reached along several paths (in-memory trees may
-        share subtrees) is yielded once per position.
+        An edge object reached along several paths (trees may share
+        subtrees, and parsed trees share every equal pair) is yielded once
+        per position.
         """
         return _edges(self.root)
 
@@ -199,6 +208,13 @@ def tree_from_dict(data: Mapping) -> StratTree:
     ...], "root": node}`` with internal nodes ``{"children": [{"markings":
     {label: int}, "node": node}, ...]}`` and leaves ``{"degree": int}``.
     Markings may omit labels (numerator 0); unknown labels are an error.
+
+    Structurally equal subtrees are returned as one shared object: a unique
+    table, kept for the call, maps a leaf's degree, or an internal node's
+    per-child (numerators in declared-label order, child identity), to the
+    node built first (hash-consing).  The tree is therefore held and
+    validated in the size of its distinct subtrees, and the memos keyed on
+    node identity hit; :func:`tree_to_dict` still emits every position.
     """
     if not isinstance(data, Mapping):
         raise TreeStructureError("tree must be an object")
@@ -213,36 +229,67 @@ def tree_from_dict(data: Mapping) -> StratTree:
         bundles.append((label, den))
     labels = [label for label, _ in bundles]
     label_set = set(labels)
+    # leaves are keyed on their degree (an int), internal nodes on a tuple
+    unique: dict[object, Node] = {}
+    # child indices from the root down to the node being parsed; locations
+    # in messages are spelled out only when an error is raised
+    trail: list[int] = []
 
-    def parse_node(d, where: str) -> Node:
-        if not isinstance(d, Mapping):
-            raise TreeStructureError(f"node at {where} must be an object")
+    def where(i: int | None = None) -> str:
+        node = "root" + "".join(f".children[{j}].node" for j in trail)
+        return node if i is None else f"{node}.children[{i}]"
+
+    def parse_node(d: Mapping) -> Node:
+        # json.load gives plain dicts, lists and ints; the exact type tests
+        # pass those, and anything else gets the full checks
         if "degree" in d:
-            return Leaf(degree=_require(d, "degree", int, where))
-        children_raw = _require(d, "children", list, where)
-        edges = []
-        for i, entry in enumerate(children_raw):
-            if not isinstance(entry, Mapping):
-                raise TreeStructureError(f"field 'children'[{i}] at {where} must be an object")
-            markings_raw = _require(entry, "markings", Mapping, f"{where}.children[{i}]")
-            for key, value in markings_raw.items():
+            degree = d["degree"]
+            if type(degree) is not int:
+                degree = _require(d, "degree", int, where())
+            if degree not in unique:
+                unique[degree] = Leaf(degree=degree)
+            return unique[degree]
+        children = d.get("children")
+        if type(children) is not list:
+            children = _require(d, "children", list, where())
+        parsed = []
+        for i, entry in enumerate(children):
+            if type(entry) is not dict and not isinstance(entry, Mapping):
+                raise TreeStructureError(
+                    f"field 'children'[{i}] at {where()} must be an object"
+                )
+            markings = entry.get("markings")
+            if type(markings) is not dict:
+                markings = _require(entry, "markings", Mapping, where(i))
+            for key, value in markings.items():
                 if key not in label_set:
                     raise TreeStructureError(
-                        f"unknown label {key!r} in markings at {where}.children[{i}]"
+                        f"unknown label {key!r} in markings at {where(i)}"
                     )
-                if not isinstance(value, int) or isinstance(value, bool):
+                if type(value) is not int and (
+                    not isinstance(value, int) or isinstance(value, bool)
+                ):
                     raise TreeStructureError(
-                        f"marking {key!r} at {where}.children[{i}] must be an integer"
+                        f"marking {key!r} at {where(i)} must be an integer"
                     )
-            markings = {label: int(markings_raw.get(label, 0)) for label in labels}
-            child = parse_node(
-                _require(entry, "node", Mapping, f"{where}.children[{i}]"),
-                f"{where}.children[{i}].node",
+            numerators = tuple([int(markings.get(label, 0)) for label in labels])
+            node = entry.get("node")
+            if type(node) is not dict:
+                node = _require(entry, "node", Mapping, where(i))
+            trail.append(i)
+            parsed.append((numerators, parse_node(node)))
+            trail.pop()
+        key = tuple([(numerators, id(child)) for numerators, child in parsed])
+        if key not in unique:
+            unique[key] = InternalNode(
+                children=tuple(
+                    ChildEdge(markings=dict(zip(labels, numerators)), child=child)
+                    for numerators, child in parsed
+                )
             )
-            edges.append(ChildEdge(markings=markings, child=child))
-        return InternalNode(children=tuple(edges))
+        return unique[key]
 
-    root = parse_node(_require(data, "root", Mapping, "tree"), "root")
+    root = parse_node(_require(data, "root", Mapping, "tree"))
     return StratTree(dimension=dimension, bundles=tuple(bundles), root=root)
 
 
@@ -281,9 +328,11 @@ def _signed_range(
     min), a negative one consumes one unit and swaps them, a zero kills its
     path, a leaf returns its degree and a negative budget returns 0.
     Choices in disjoint subtrees are independent, so results are memoized
-    on (node identity, budget): a shared subtree is evaluated once per budget.
+    on (node identity, budget): a shared subtree is evaluated once per budget,
+    and ``options_of`` is called once per edge object.
     """
     memo: dict[tuple[int, int], tuple[Scalar, Scalar]] = {}
+    options: dict[int, Sequence[Scalar]] = {}
 
     def rec(node: Node, budget: int) -> tuple[Scalar, Scalar]:
         if budget < 0:
@@ -294,8 +343,10 @@ def _signed_range(
         if key not in memo:
             high = low = 0
             for edge in node.children:
+                if id(edge) not in options:
+                    options[id(edge)] = options_of(edge)
                 best = worst = None
-                for value in options_of(edge):
+                for value in options[id(edge)]:
                     if value > 0:
                         child_high, child_low = rec(edge.child, budget)
                         hi, lo = value * child_high, value * child_low
@@ -321,7 +372,8 @@ def truncated_sum(
     negative edge values of the product of the values times the leaf degree.
 
     The sign-splitting recursion with one choice per edge, where the
-    maximum and the minimum agree.
+    maximum and the minimum agree; ``value_of`` is called once per edge
+    object.
     """
     total, _ = _signed_range(root, lambda edge: (value_of(edge),), max_index)
     return Fraction(total)
@@ -705,14 +757,7 @@ def assignment_max(
     smallest sum, and the parity of i picks one.  A negative ``max_index``
     admits no path, so the maximum is 0.
     """
-    options: dict[int, Sequence[Scalar]] = {}
-
-    def cached(edge: ChildEdge) -> Sequence[Scalar]:
-        if id(edge) not in options:
-            options[id(edge)] = options_of(edge)
-        return options[id(edge)]
-
-    high, low = _signed_range(root, cached, max_index)
+    high, low = _signed_range(root, options_of, max_index)
     return Fraction(-low if max_index % 2 else high)
 
 

@@ -536,3 +536,32 @@ def test_jet_bound_requires_cfg_for_mixed_sign():
     )
     assert isinstance(value, float)
     assert isinstance(stderr, float) and stderr > 0
+
+
+def test_edge_marks_computed_once_per_edge_object(monkeypatch):
+    # nef_difference_tree shares each level's subtree between both children,
+    # so the recursion reaches its 10 edge objects at many (node, budget)
+    # pairs; every sum must build each edge's form at most once
+    tree = nef_difference_tree(5, 2, 3)
+    prob = problem(tree, ("F", "G"), (1, 2), aux_label="L", aux_scale=Fraction(1, 3))
+    distinct = len({id(edge) for edge in tree.edges()})
+    assert distinct == 10
+    calls = []
+    original = MarkedSimplexProblem.edge_form
+
+    def spy(self, edge, with_twist):
+        calls.append(edge)
+        return original(self, edge, with_twist)
+
+    monkeypatch.setattr(MarkedSimplexProblem, "edge_form", spy)
+    point, points = (Fraction(1, 2), Fraction(-1, 3)), [(1, 0), (0, 1)]
+    for cap in range(-1, tree.dimension + 1):
+        for evaluate in (
+            lambda: index_sum(prob, point, cap),
+            lambda: twisted_index_sum(prob, point, cap),
+            lambda: max_tensor_degree(prob, points, cap),
+        ):
+            calls.clear()
+            evaluate()
+            assert len(calls) <= distinct
+            assert len(calls) == len({id(edge) for edge in calls})

@@ -223,3 +223,26 @@ def test_averaging_experiment_validates_trivialization():
         integrands.averaging_experiment(
             bad, ["L"], "N", "E", 1, [2], mc.MCConfig(seed=1, samples=100)
         )
+
+
+def test_sample_block_matches_out_of_place_division():
+    spec = mc.block_weights(4, 3)
+    exp = mc.block_rng(41, 2).standard_exponential((5000, spec.arity))
+    want = exp / exp.sum(axis=1, keepdims=True) / np.asarray(spec.weights, dtype=float)
+    assert np.array_equal(mc.sample_block(spec, 41, 2, 5000), want)
+
+
+@pytest.mark.parametrize("k, r", [(1, 1), (2, 1), (3, 3), (6, 2)])
+def test_dirichlet_statistic_matches_product_of_powers_bit_for_bit(k, r):
+    # the statistic, against the product over all coordinates of Y'**q
+    cfg = mc.MCConfig(seed=5 + k, samples=70_000)
+    report = mc.dirichlet_density_check(k, r, cfg)
+    exponents = np.asarray([rec["params"]["moment"] for rec in report["records"]], dtype=float)
+
+    def stats(block):
+        yprime, _ = mc.jets_decomposition(block, k, r)
+        return np.column_stack([np.prod(yprime**q, axis=1) for q in exponents])
+
+    tally = mc._tally_statistics(mc.block_weights(k, r), cfg, len(exponents), stats)
+    assert [rec["estimate"] for rec in report["records"]] == tally.mean().tolist()
+    assert [rec["stderr"] for rec in report["records"]] == tally.stderr().tolist()

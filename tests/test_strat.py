@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 import pytest
 
@@ -563,3 +565,178 @@ def test_cover_and_refine_error_paths(call, error, message):
 def test_refine_negative_child_index_counts_from_the_end():
     chain = tree_from_dict(CHAIN)
     assert refine(chain, [((-1,), Leaf(degree=4))]) == refine(chain, [((0,), Leaf(degree=4))])
+
+
+def _tree(root, dimension=1, bundles=({"label": "L", "denominator": 1},)):
+    return {"dimension": dimension, "bundles": list(bundles), "root": root}
+
+
+def _edge(node, **markings):
+    return {"markings": markings or {"L": 1}, "node": node}
+
+
+def _internal(*entries):
+    return {"children": list(entries)}
+
+
+LEAF = {"degree": 1}
+# a subtree of depth 1, placed once at depth 1 (valid) and once at depth 2
+DEPTH_ONE = _internal(_edge(LEAF))
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        pytest.param([], TreeStructureError, "tree must be an object", id="top-level-list"),
+        pytest.param("tree", TreeStructureError, "tree must be an object", id="top-level-str"),
+        pytest.param({}, TreeStructureError, "missing field 'dimension' in tree",
+                     id="missing-dimension"),
+        pytest.param({"dimension": 1}, TreeStructureError, "missing field 'bundles' in tree",
+                     id="missing-bundles"),
+        pytest.param({"dimension": 1, "bundles": []}, TreeStructureError,
+                     "missing field 'root' in tree", id="missing-root"),
+        pytest.param(_tree(LEAF, dimension=True), TreeStructureError,
+                     "field 'dimension' in tree must be int, got bool", id="bool-dimension"),
+        pytest.param(_tree(LEAF, dimension="1"), TreeStructureError,
+                     "field 'dimension' in tree must be int, got str", id="str-dimension"),
+        pytest.param({"dimension": 1, "bundles": {}, "root": LEAF}, TreeStructureError,
+                     "field 'bundles' in tree must be list, got dict", id="dict-bundles"),
+        pytest.param(_tree(LEAF, bundles=[["L", 1]]), TreeStructureError,
+                     "field 'bundles'[0] must be an object", id="bundle-not-object"),
+        pytest.param(_tree(LEAF, bundles=[{"label": "L", "denominator": 1}, {"denominator": 1}]),
+                     TreeStructureError, "missing field 'label' in bundles[1]",
+                     id="missing-label"),
+        pytest.param(_tree(LEAF, bundles=[{"label": "L"}]), TreeStructureError,
+                     "missing field 'denominator' in bundles[0]", id="missing-denominator"),
+        pytest.param(_tree(LEAF, bundles=[{"label": 7, "denominator": 1}]), TreeStructureError,
+                     "field 'label' in bundles[0] must be str, got int", id="int-label"),
+        pytest.param(_tree(LEAF, bundles=[{"label": "L", "denominator": False}]),
+                     TreeStructureError,
+                     "field 'denominator' in bundles[0] must be int, got bool",
+                     id="bool-denominator"),
+        pytest.param(_tree(LEAF, bundles=[{"label": "L", "denominator": 1.0}]),
+                     TreeStructureError,
+                     "field 'denominator' in bundles[0] must be int, got float",
+                     id="float-denominator"),
+        pytest.param(_tree([LEAF]), TreeStructureError,
+                     "field 'root' in tree must be Mapping, got list", id="root-not-object"),
+        pytest.param(_tree({}), TreeStructureError, "missing field 'children' in root",
+                     id="missing-children"),
+        pytest.param(_tree({"children": {}}), TreeStructureError,
+                     "field 'children' in root must be list, got dict", id="dict-children"),
+        pytest.param(_tree(_internal(_edge(LEAF), 3)), TreeStructureError,
+                     "field 'children'[1] at root must be an object", id="child-not-object"),
+        pytest.param(_tree(_internal({"node": LEAF})), TreeStructureError,
+                     "missing field 'markings' in root.children[0]", id="missing-markings"),
+        pytest.param(_tree(_internal({"markings": [1], "node": LEAF})), TreeStructureError,
+                     "field 'markings' in root.children[0] must be Mapping, got list",
+                     id="list-markings"),
+        pytest.param(_tree(_internal(_edge(LEAF, M=1))), TreeStructureError,
+                     "unknown label 'M' in markings at root.children[0]", id="unknown-label"),
+        pytest.param(_tree(_internal(_edge(LEAF, L=1.5))), TreeStructureError,
+                     "marking 'L' at root.children[0] must be an integer", id="float-marking"),
+        pytest.param(_tree(_internal(_edge(LEAF, L=True))), TreeStructureError,
+                     "marking 'L' at root.children[0] must be an integer", id="bool-marking"),
+        pytest.param(_tree(_internal(_edge(LEAF, L="1"))), TreeStructureError,
+                     "marking 'L' at root.children[0] must be an integer", id="str-marking"),
+        pytest.param(_tree(_internal({"markings": {"L": 1}})), TreeStructureError,
+                     "missing field 'node' in root.children[0]", id="missing-node"),
+        pytest.param(_tree(_internal({"markings": {"L": 1}, "node": 1})), TreeStructureError,
+                     "field 'node' in root.children[0] must be Mapping, got int",
+                     id="int-node"),
+        pytest.param(_tree(_internal(_edge({"degree": True}))), TreeStructureError,
+                     "field 'degree' in root.children[0].node must be int, got bool",
+                     id="bool-degree"),
+        pytest.param(_tree(_internal(_edge({"degree": None}))), TreeStructureError,
+                     "field 'degree' in root.children[0].node must be int, got NoneType",
+                     id="null-degree"),
+        pytest.param(
+            _tree(_internal(_edge(DEPTH_ONE), _edge(_internal(_edge(LEAF), _edge(LEAF, M=2)))),
+                  dimension=2),
+            TreeStructureError, "unknown label 'M' in markings at root.children[1].node.children[1]",
+            id="unknown-label-two-deep",
+        ),
+        pytest.param(
+            _tree(_internal(_edge(DEPTH_ONE), _edge(_internal(_edge({})))), dimension=2),
+            TreeStructureError, "missing field 'children' in root.children[1].node.children[0].node",
+            id="missing-children-two-deep",
+        ),
+        pytest.param(
+            # faults are met in walk order: the first child's subtree first
+            _tree(_internal(_edge(_internal(_edge({"degree": "2"}))), _edge(LEAF, M=1)),
+                  dimension=2),
+            TreeStructureError,
+            "field 'degree' in root.children[0].node.children[0].node must be int, got str",
+            id="first-fault-in-walk-order",
+        ),
+        pytest.param(MappingProxyType({"dimension": 1, "bundles": []}), TreeStructureError,
+                     "missing field 'root' in tree", id="mapping-top-level"),
+        pytest.param(_tree(MappingProxyType(_internal(_edge(LEAF, L=-1.0)))),
+                     TreeStructureError, "marking 'L' at root.children[0] must be an integer",
+                     id="mapping-root"),
+        pytest.param(_tree(LEAF, dimension=-1), TreeStructureError,
+                     "dimension must be >= 0, got -1", id="negative-dimension"),
+        pytest.param(_tree(LEAF, bundles=[{"label": "L", "denominator": 1}] * 2),
+                     TreeStructureError, "duplicate bundle labels in ['L', 'L']",
+                     id="duplicate-labels"),
+        pytest.param(_tree(LEAF, bundles=[{"label": "L", "denominator": 0}]),
+                     TreeStructureError, "denominator of 'L' must be >= 1, got 0",
+                     id="zero-denominator"),
+        pytest.param(_tree(_internal(_edge({"degree": 0}))), TreeStructureError,
+                     "leaf degree must be >= 1, got 0", id="zero-degree"),
+        pytest.param(_tree(_internal(_edge(LEAF)), dimension=2), TreeStructureError,
+                     "leaf at depth 1, expected uniform depth 2", id="shallow-leaf"),
+        pytest.param(_tree(_internal(_edge(DEPTH_ONE))), TreeStructureError,
+                     "internal node at depth 1 exceeds dimension 1", id="deep-internal-node"),
+        pytest.param(
+            # equal leaves at depths 2 and 1
+            _tree(_internal(_edge(DEPTH_ONE), _edge(LEAF)), dimension=2),
+            TreeStructureError, "leaf at depth 1, expected uniform depth 2",
+            id="equal-leaf-at-wrong-depth",
+        ),
+        pytest.param(
+            # equal depth-one subtrees at depths 1 and 2
+            _tree(_internal(_edge(DEPTH_ONE), _edge(_internal(_edge(DEPTH_ONE)))), dimension=2),
+            TreeStructureError, "internal node at depth 2 exceeds dimension 2",
+            id="equal-subtree-at-wrong-depth",
+        ),
+    ],
+)
+def test_tree_from_dict_error_paths(data, error, message):
+    with pytest.raises(error) as excinfo:
+        tree_from_dict(data)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def _distinct_nodes_and_edges(root):
+    nodes, edges, stack = {}, {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes[id(node)] = node
+        for edge in getattr(node, "children", ()):
+            edges[id(edge)] = edge
+            stack.append(edge.child)
+    return len(nodes), len(edges)
+
+
+def test_parsed_nef_tree_holds_one_object_per_distinct_subtree():
+    # through JSON text, so every position arrives as its own dict
+    data = json.loads(json.dumps(tree_to_dict(nef_difference_tree(11, 2, 3))))
+    tree = tree_from_dict(data)
+    assert _distinct_nodes_and_edges(tree.root) == (12, 22)
+    assert tree.edge_count() == 2**12 - 2
+    assert sum(1 for _ in tree.edges()) == 2**12 - 2
+    assert tree_to_dict(tree) == data
+    assert degree_by_index(tree, "L", 4) == comb(11, 4) * 2**7 * 3**4
+
+
+def test_validation_walks_distinct_nodes():
+    # 2^41 - 2 edge positions on 41 distinct nodes: validating by position
+    # would not finish
+    tree = nef_difference_tree(40, 1, 1)
+    assert tree.denominator("G") == 1
+    with pytest.raises(UnknownLabelError, match="label 'X' is not declared"):
+        tree.denominator("X")

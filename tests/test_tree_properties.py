@@ -7,20 +7,32 @@ shared in memory.  The same trees also go through the dict round trip.
 ``max_marking_degree``, which scales integer numerators to a common
 denominator, is compared with ``assignment_max_brute`` over ``Fraction``
 markings on small trees whose labels have unrelated denominators.
+Trees parsed from JSON share structurally equal subtrees; every quantity
+is compared with the same tree expanded to one object per position.
 """
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from _helpers import label_options
-from jetcalc.integrands import MarkedSimplexProblem, index_sum, twisted_index_sum
+from jetcalc import mc
+from jetcalc.integrands import (
+    MarkedSimplexProblem,
+    MixedSignError,
+    index_sum,
+    integrate_exact,
+    integrate_mc,
+    twisted_index_sum,
+)
 from jetcalc.simplex import SimplexSpec
 from jetcalc.strat import (
     ChildEdge,
     InternalNode,
     Leaf,
     StratTree,
+    _remark,
     assignment_max_brute,
     degree_by_index,
     degree_truncated,
@@ -193,3 +205,76 @@ def test_integer_scaling_matches_fraction_oracles(tree, labels):
 @given(st.one_of(random_trees(), shared_trees()))
 def test_dict_round_trip(tree):
     assert tree_from_dict(tree_to_dict(tree)) == tree
+
+
+@st.composite
+def json_trees(draw):
+    """Trees in JSON form, every position its own dict, drawn bottom up from
+    one small pool of subtrees per depth: leaves repeat their degree and
+    siblings often repeat a marking and a subtree.  Zero numerators may be
+    omitted, which parses the same as writing them."""
+    dimension = draw(st.integers(1, 4))
+    bundles = [{"label": label, "denominator": draw(st.integers(1, 3))} for label in LABELS]
+    pool = [{"degree": degree} for degree in draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))]
+    for depth in reversed(range(dimension)):
+        marks = draw(
+            st.lists(
+                st.dictionaries(st.sampled_from(LABELS), st.integers(-2, 2)),
+                min_size=1, max_size=2,
+            )
+        )
+        pool = [
+            {
+                "children": [
+                    {"markings": draw(st.sampled_from(marks)), "node": draw(st.sampled_from(pool))}
+                    for _ in range(draw(st.integers(0 if depth else 2, 3)))
+                ]
+            }
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+    data = {"dimension": dimension, "bundles": bundles, "root": draw(st.sampled_from(pool))}
+    return json.loads(json.dumps(data))
+
+
+def _integrals(tree, weights, scale, level, cfg):
+    prob = MarkedSimplexProblem(
+        tree=tree, labels=LABELS, simplex=SimplexSpec(weights), aux_label="M",
+        aux_scale=scale,
+    )
+    try:
+        exact = integrate_exact(prob, level)
+    except MixedSignError:
+        exact = None
+    return exact, integrate_mc(prob, level, cfg)
+
+
+@SETTINGS
+@given(
+    json_trees(),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    small_fractions,
+    st.integers(0, 2**32 - 1),
+)
+def test_interning_is_invisible_to_every_quantity(data, weights, scale, seed):
+    tree = tree_from_dict(data)
+    expanded = StratTree(
+        dimension=tree.dimension,
+        bundles=tree.bundles,
+        root=_remark(tree.root, lambda edge: edge.markings),
+    )
+    assert expanded == tree and tree_to_dict(tree) == tree_to_dict(expanded)
+    small = tree.edge_count() <= 8
+    cfg = mc.MCConfig(seed=seed, samples=2000)
+    for level in range(-1, tree.dimension + 2):
+        for label in LABELS:
+            assert degree_truncated(tree, label, level) == degree_truncated(expanded, label, level)
+            assert degree_by_index(tree, label, level) == degree_by_index(expanded, label, level)
+        best = max_marking_degree(tree, LABELS, level)
+        assert best == max_marking_degree(expanded, LABELS, level)
+        if small:
+            assert best == assignment_max_brute(tree.root, label_options(tree, LABELS), level)
+        if 0 <= level <= tree.dimension:
+            # the MC pair bit for bit: an interned tree feeds fewer columns
+            assert _integrals(tree, weights, scale, level, cfg) == _integrals(
+                expanded, weights, scale, level, cfg
+            )
