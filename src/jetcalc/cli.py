@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Sequence
 
 from . import integrands, lattice, mc, segre, strat
-from .ring import GradedPoly, GradedRing
+from .ring import GradedRing
 from .simplex import (
     SimplexSpec,
     monomial_moment,
@@ -60,17 +59,6 @@ def _fractions(text: str) -> tuple[Fraction, ...]:
 
 def _float_text(x: float) -> str:
     return f"{x:.17g}"
-
-
-def common_denominator_render(poly: GradedPoly) -> str:
-    """Render a rational polynomial as (integer combination)/denominator."""
-    if poly.is_zero():
-        return "0"
-    den = 1
-    for _, coeff in poly.items():
-        den = math.lcm(den, coeff.denominator)
-    body = (poly * den).render()
-    return body if den == 1 else f"({body})/{den}"
 
 
 def _load_tree(path: str) -> strat.StratTree:
@@ -108,7 +96,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_gg_coeff(args) -> int:
     alpha, beta = segre.gg_surface_coeffs(args.k)
-    cls = common_denominator_render(segre.gg_surface_class(args.k))
+    cls = segre.gg_surface_class(args.k).render_over_denominator()
     print(
         json.dumps(
             {"alpha": str(alpha), "beta": str(beta), "class": cls},
@@ -148,8 +136,8 @@ def _cmd_whitney(args) -> int:
         (segre.segre_series_split(factor.roots), factor.rank, factor.weight)
         for factor in bundle.factors
     ]
-    series = segre.whitney_weighted(parts)
-    _emit(args, {"series": series.render()}, series.render())
+    text = segre.whitney_weighted(parts).render()
+    _emit(args, {"series": text}, text)
     return 0
 
 
@@ -160,7 +148,8 @@ def _cmd_chi_leading(args) -> int:
         poly = segre.chi_leading_exact(bundle, args.n, args.m)
     else:
         poly = segre.chi_leading_asymptotic(bundle, args.n)
-    _emit(args, {"polynomial": poly.render()}, poly.render())
+    text = poly.render()
+    _emit(args, {"polynomial": text}, text)
     return 0
 
 

@@ -1,7 +1,10 @@
 """Truncated, weighted-graded polynomial arithmetic over exact rationals.
 
 Scalars are ``fractions.Fraction`` throughout: arbitrary precision, always in
-lowest terms with positive denominator, no rounding anywhere.
+lowest terms with positive denominator, no rounding anywhere.  Products are
+computed over integer numerators: each factor is scaled to integers over the
+lcm of its denominators (the layout of FLINT's ``fmpq_poly``), the products
+are summed as ``int``s, and each output coefficient is reduced once.
 
 A ring is fixed by an ordered tuple of named variables, each carrying a
 positive integer weight, together with a truncation bound ``n``: every
@@ -17,9 +20,11 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul
 from typing import Iterator, Mapping
 
 Scalar = int | Fraction
@@ -68,7 +73,7 @@ class GradedRing:
         return tuple(weight for _, weight in self.variables)
 
     def weighted_degree(self, exponents: Exponents) -> int:
-        return sum(e * w for e, w in zip(exponents, self.weights))
+        return sum(map(mul, exponents, self.weights))
 
     def zero(self) -> GradedPoly:
         return GradedPoly(self, {})
@@ -153,6 +158,14 @@ class GradedPoly:
 
     # -- arithmetic ------------------------------------------------------
 
+    def _scaled(self) -> tuple[list[tuple[Exponents, int, int]], int]:
+        """The terms as (exponents, integer numerator, weighted degree) over
+        one common denominator, the lcm of the coefficient denominators."""
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        degree = self.ring.weighted_degree
+        return [(e, c.numerator * (den // c.denominator), degree(e))
+                for e, c in self._terms.items()], den
+
     def _check_ring(self, other: GradedPoly) -> None:
         if self.ring != other.ring:
             raise IncompatibleRingError(
@@ -183,24 +196,19 @@ class GradedPoly:
     def __mul__(self, other) -> GradedPoly:
         if isinstance(other, GradedPoly):
             self._check_ring(other)
-            ring = self.ring
-            bound = ring.bound
-            right = [
-                (e2, c2, ring.weighted_degree(e2)) for e2, c2 in other._terms.items()
-            ]
-            terms: dict[Exponents, Fraction] = {}
-            for e1, c1 in self._terms.items():
-                d1 = ring.weighted_degree(e1)
-                for e2, c2, d2 in right:
-                    if d1 + d2 > bound:
+            left, den1 = self._scaled()
+            right, den2 = other._scaled()
+            bound = self.ring.bound
+            sums: dict[Exponents, int] = {}
+            for e1, n1, d1 in left:
+                room = bound - d1
+                for e2, n2, d2 in right:
+                    if d2 > room:
                         continue
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    total = terms.get(exps, Fraction(0)) + c1 * c2
-                    if total:
-                        terms[exps] = total
-                    else:
-                        terms.pop(exps, None)
-            return GradedPoly(ring, terms)
+                    exps = tuple(map(add, e1, e2))
+                    sums[exps] = sums.get(exps, 0) + n1 * n2
+            den = den1 * den2
+            return GradedPoly(self.ring, {e: Fraction(n, den) for e, n in sums.items() if n})
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return self.ring.zero()
@@ -265,34 +273,44 @@ class GradedPoly:
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in canonical order: weighted degree, then earlier variables first."""
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (
-                self.ring.weighted_degree(item[0]),
-                tuple(-e for e in item[0]),
-            ),
-        )
+        degree = self.ring.weighted_degree
+        keyed = sorted((degree(e), tuple(-x for x in e), e, c) for e, c in self._terms.items())
+        return [(e, c) for _, _, e, c in keyed]
 
     def render(self) -> str:
         """Canonical text form, coefficients as ``num`` or ``num/den``."""
+        return self._render(1)
+
+    def render_over_denominator(self) -> str:
+        """Canonical text form as ``(integer combination)/den``, ``den`` being
+        the lcm of the coefficient denominators; just the combination if 1."""
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        body = self._render(den)
+        return body if den == 1 else f"({body})/{den}"
+
+    def _render(self, den: int) -> str:
+        """The text of ``den * self``; ``den`` is 1 or a common multiple of
+        the coefficient denominators."""
         if not self._terms:
             return "0"
+        names = self.ring.names
         parts: list[str] = []
         for exps, coeff in self.sorted_terms():
+            num, d = coeff.numerator, coeff.denominator
+            if den != 1:
+                num, d = num * (den // d), 1
+            mag = str(abs(num)) if d == 1 else f"{abs(num)}/{d}"
             monomial = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for (name, _), e in zip(self.ring.variables, exps)
-                if e
+                name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
             )
-            mag = abs(coeff)
             if monomial:
-                body = monomial if mag == 1 else f"{mag}*{monomial}"
+                body = monomial if mag == "1" else f"{mag}*{monomial}"
             else:
-                body = str(mag)
+                body = mag
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                parts.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(parts)
 
     def __str__(self) -> str:

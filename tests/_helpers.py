@@ -1,8 +1,10 @@
 """Shared test helpers: generators for randomized tree tests (seeded,
 deterministic), finite differences of exact values, the monomial
 expansion of simplex expectations (the oracle for the vertex-value method)
-and composition power sums by enumeration (the oracle for the
-generating-function convolution)."""
+composition power sums by enumeration (the oracle for the
+generating-function convolution), the term-by-term ``Fraction`` product of
+graded polynomials (the oracle for the integer-numerator product) and a
+parser of rendered polynomial text (the oracle for ``render``)."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from jetcalc.lattice import enumerate_compositions
+from jetcalc.ring import GradedPoly
 from jetcalc.simplex import AffineForm, SimplexSpec, monomial_moment
 from jetcalc.strat import (
     ChildEdge,
@@ -213,3 +216,68 @@ def enumerated_power_sum(
         for l in enumerate_compositions(spec, m)
     )
     return Fraction(total, math.prod(math.factorial(q) for q in powers))
+
+
+def naive_product(p: GradedPoly, q: GradedPoly) -> dict[tuple[int, ...], Fraction]:
+    """The truncated product p * q as {exponents: nonzero coefficient}, one
+    ``Fraction`` multiply-add per pair of terms."""
+    ring = p.ring
+    weights = [w for _, w in ring.variables]
+
+    def degree(exps):
+        return sum(e * w for e, w in zip(exps, weights))
+
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            if degree(e1) + degree(e2) > ring.bound:
+                continue
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            total = terms.get(exps, Fraction(0)) + c1 * c2
+            if total:
+                terms[exps] = total
+            else:
+                terms.pop(exps, None)
+    return terms
+
+
+def parse_rendered(
+    text: str, variables: Sequence[tuple[str, int]]
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The terms of a rendered polynomial, in the order written.
+
+    Reads ``[-]t0 (+|-) t1 ...`` where each term is ``mag``, ``monomial`` or
+    ``mag*monomial``, ``mag`` is ``n`` or ``n/d`` in lowest terms and never
+    ``1`` before a monomial, and a monomial is ``name`` or ``name^e`` (e >= 2)
+    factors in ring order.  Anything else raises ``ValueError``.
+    """
+    if text == "0":
+        return []
+    names = [name for name, _ in variables]
+    first, *rest = text.split(" ")
+    if len(rest) % 2:
+        raise ValueError(f"dangling sign in {text!r}")
+    signed = [("-", first[1:]) if first.startswith("-") else ("+", first)]
+    signed += list(zip(rest[::2], rest[1::2]))
+    terms = []
+    for sign, body in signed:
+        if sign not in ("+", "-"):
+            raise ValueError(f"bad sign {sign!r} in {text!r}")
+        factors = body.split("*")
+        coeff = Fraction(1)
+        if factors[0] not in names and "^" not in factors[0]:
+            mag = factors.pop(0)
+            coeff = Fraction(mag)
+            if str(coeff) != mag or coeff <= 0 or (coeff == 1 and factors):
+                raise ValueError(f"non-canonical magnitude {mag!r} in {text!r}")
+        exps = [0] * len(names)
+        last = -1
+        for factor in factors:
+            name, caret, power = factor.partition("^")
+            index = names.index(name)
+            e = int(power) if caret else 1
+            if index <= last or (caret and (e < 2 or str(e) != power)):
+                raise ValueError(f"non-canonical monomial {body!r} in {text!r}")
+            exps[index], last = e, index
+        terms.append((tuple(exps), coeff if sign == "+" else -coeff))
+    return terms

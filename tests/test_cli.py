@@ -30,6 +30,25 @@ def test_golden_invocations(capsys):
     assert code == 0 and out == expected["strat-degree --tree TREE --label L --upto 1"]
 
 
+GRADED_POLY_GOLDENS = [
+    "whitney --weights 3,1,4,2,5 --bound 6",
+    "whitney --weights 2,3 --ranks 2,1 --bound 6",
+    "chi-leading --weights 1,1,2,3 --n 3 --m 40",
+    "chi-leading --weights 1,2,3 --n 3",
+    "chi-leading --weights 1,1,2,3 --n 3 --m 12 --json",
+    "gg-coeff --k 20",
+    "gg-coeff --k 40",
+]
+
+
+@pytest.mark.parametrize("invocation", GRADED_POLY_GOLDENS)
+def test_golden_graded_poly_outputs(capsys, invocation):
+    """Byte-exact stdout of the commands that multiply and render GradedPoly."""
+    expected = json.loads((GOLDEN / "expected_outputs.json").read_text())
+    code, out, _ = run(capsys, *invocation.split())
+    assert code == 0 and out == expected[invocation]
+
+
 def test_gg_coeff_k2(capsys):
     code, out, _ = run(capsys, "gg-coeff", "--k", "2")
     assert code == 0
