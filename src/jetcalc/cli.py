@@ -131,6 +131,8 @@ def _cmd_whitney(args) -> int:
     ranks = args.ranks if args.ranks else tuple(1 for _ in args.weights)
     if len(ranks) != len(args.weights):
         raise ValueError("--ranks and --weights must have the same length")
+    if min(ranks) < 1:
+        raise ValueError(f"--ranks must be positive integers, got {ranks}")
     _, bundle = _split_bundle(args.weights, ranks, args.bound)
     parts = [
         (segre.segre_series_split(factor.roots), factor.rank, factor.weight)

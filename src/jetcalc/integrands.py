@@ -189,7 +189,13 @@ def _compile(
     prob: MarkedSimplexProblem, with_twist: bool
 ) -> tuple[list[AffineForm], list[tuple[list[int], int]]]:
     """The forms of the distinct edge objects, in pre-order of first
-    appearance, and every root-to-leaf path as (form indices, leaf degree)."""
+    appearance, and every root-to-leaf path as (form indices, leaf degree).
+
+    The forms include edges on no path (into childless internal nodes).
+    :func:`integrate_mc` keeps their columns: the bits of its matmul
+    ``t @ C.T`` depend on the column set, so dropping one can change the
+    last bit of the marks that are kept.
+    """
     index_of: dict[int, int] = {}
     forms: list[AffineForm] = []
     for edge in prob.tree.edges():
@@ -344,25 +350,21 @@ def averaging_experiment(
     max_index: int,
     k_values: Sequence[int],
     cfg: mc.MCConfig,
-    method: str = "auto",
 ) -> dict:
     """Scaled harmonic-twist integrals against the truncated whole degree.
 
     The tree must factor: on every edge the whole label's effective marking
     equals the sum of the base labels' plus the auxiliary's (validated
     first).  For each k the twisted integrand is integrated over the
-    block-weighted simplex (exactly when its sign structure allows,
-    otherwise by Monte Carlo), and the scaled value
+    block-weighted simplex by :func:`integrate` (exactly when its sign
+    structure allows, otherwise by Monte Carlo; each record's "method" says
+    which), and the scaled value
 
         (k r)^n * integral / H_k^n,      H_k = 1 + 1/2 + ... + 1/k,
 
     is reported next to the target degree_truncated(tree, whole, i); the
     (log k)^n scaling is reported alongside for comparison (k >= 2).
-    ``method`` is "auto" (:func:`integrate`) or "mc" (:func:`integrate_mc`).
     """
-    integrators = {"auto": integrate, "mc": integrate_mc}
-    if method not in integrators:
-        raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
     if not validate_product_trivialization(tree, base_labels, whole_label, aux_label):
         raise InvalidTrivializationError(
             f"{whole_label!r} markings are not the sum of {list(base_labels)} "
@@ -375,7 +377,7 @@ def averaging_experiment(
     for k in k_values:
         problem = harmonic_twist(tree, base_labels, aux_label, k)
         h = harmonic_number(k)
-        value, stderr = integrators[method](problem, max_index, cfg)
+        value, stderr = integrate(problem, max_index, cfg)
         used = "exact" if stderr is None else "mc"
         value = float(value)
         stderr = 0.0 if stderr is None else stderr

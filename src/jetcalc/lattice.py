@@ -25,7 +25,9 @@ Riemann-sum argument for simplex integrals.
 All arithmetic is exact.  Power sums multiply integer series truncated at
 x^m, O(m^2 / a_i) operations per factor, and never visit H_m; enumeration,
 used for the cone-cell counts, is output-sensitive recursive descent with
-remaining-budget pruning.
+remaining-budget pruning.  One Gauss-Jordan elimination gives both the
+Gram determinant that checks a basis and the basis coordinates of a cell.
+Exponent vectors are checked by :meth:`SimplexSpec.exponents`.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 from typing import Iterator, Sequence
 
-from .ring import GradedPoly, GradedRing
 from .simplex import DegenerateLatticeError, SimplexSpec
 
 
@@ -139,11 +142,7 @@ def _integer_power_sums(
 
 def power_sum(spec: SimplexSpec, powers: Sequence[int], m: int) -> Fraction:
     """S_p(m) = sum over H_m of prod l_i^{p_i} / p_i!, exactly."""
-    p = tuple(int(q) for q in powers)
-    if len(p) != spec.arity:
-        raise ValueError(f"exponent vector arity {len(p)} != {spec.arity}")
-    if any(q < 0 for q in p):
-        raise ValueError("exponents must be non-negative")
+    p = spec.exponents(powers)
     (total,) = _integer_power_sums(spec.weights, m, [p])
     return Fraction(total, math.prod(math.factorial(q) for q in p))
 
@@ -166,27 +165,9 @@ def power_sum_asymptotic(spec: SimplexSpec, powers: Sequence[int]) -> Fraction:
     S_p(m) * (|p|+r-1)! / m^{|p|+r-1} converges to this value as m grows
     through multiples of gcd(a).
     """
-    p = tuple(int(q) for q in powers)
-    if len(p) != spec.arity:
-        raise ValueError(f"exponent vector arity {len(p)} != {spec.arity}")
+    p = spec.exponents(powers)
     den = math.prod(w ** (q + 1) for w, q in zip(spec.weights, p))
     return Fraction(spec.gcd(), den)
-
-
-def weighted_power_poly_sum(
-    ring: GradedRing, spec: SimplexSpec, n: int, m: int
-) -> GradedPoly:
-    """sum over H_m of (l_1 x_1 + ... + l_r x_r)^n / n! as an exact polynomial.
-
-    The ring must carry exactly r weight-1 variables and have bound >= n.
-    Only the degree-n part is nonzero; its coefficient at x^p is S_p(m).
-    """
-    r = spec.arity
-    if len(ring.variables) != r or any(w != 1 for w in ring.weights):
-        raise ValueError(f"ring must have exactly {r} weight-1 variables")
-    if ring.bound < n:
-        raise ValueError(f"ring bound {ring.bound} is below degree {n}")
-    return ring.from_terms(power_sum_table(spec, n, m))
 
 
 # -- kernel lattice ---------------------------------------------------------
@@ -207,44 +188,34 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+def _gauss_jordan(
+    rows: Sequence[Sequence[Fraction | int]],
+    rhs: Sequence[Sequence[Fraction | int]] = (),
+) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """det(A) and the exact solution X of A X = B, by Gauss-Jordan elimination.
+
+    A is square (``rows``); each column of B (``rhs``, n rows of k entries,
+    empty for the determinant alone) is one right-hand side.  X is None
+    when A is singular.
+    """
     n = len(rows)
-    mat = [row[:] for row in rows]
+    mat = [[*row, *extra] for row, extra in zip_longest(rows, rhs, fillvalue=())]
     det = Fraction(1)
     for col in range(n):
         pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), None
         if pivot != col:
             mat[col], mat[pivot] = mat[pivot], mat[col]
             det = -det
         det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            factor = mat[i][col] * inv
-            if factor:
-                for j in range(col, n):
-                    mat[i][j] -= factor * mat[col][j]
-    return det
-
-
-def _solve_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square exact linear system by Gaussian elimination."""
-    n = len(rows)
-    mat = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = 1 / mat[col][col]
+        inv = 1 / Fraction(mat[col][col])
         mat[col] = [x * inv for x in mat[col]]
         for i in range(n):
-            if i != col and mat[i][col]:
-                factor = mat[i][col]
+            factor = mat[i][col]
+            if i != col and factor:
                 mat[i] = [x - factor * y for x, y in zip(mat[i], mat[col])]
-    return [mat[i][n] for i in range(n)]
+    return det, [row[n:] for row in mat]
 
 
 @dataclass(frozen=True)
@@ -269,12 +240,9 @@ class LatticeBasis:
                 raise ValueError(f"vector {v} has wrong arity")
             if sum(w * x for w, x in zip(a, v)) != 0:
                 raise ValueError(f"vector {v} is not in the kernel of {a}")
-        gram = [
-            [Fraction(sum(x * y for x, y in zip(u, v))) for v in self.vectors]
-            for u in self.vectors
-        ]
+        gram = [[sum(map(mul, u, v)) for v in self.vectors] for u in self.vectors]
         g = math.gcd(*a)
-        if _det_fraction(gram) * g * g != sum(w * w for w in a):
+        if _gauss_jordan(gram)[0] * g * g != sum(w * w for w in a):
             raise ValueError("basis does not generate the full kernel lattice")
 
 
@@ -329,15 +297,11 @@ def count_cone_points(
     if basis is None:
         basis = lattice_basis(spec)
     vecs = basis.vectors
-    gram = [
-        [Fraction(sum(x * y for x, y in zip(v1, v2))) for v2 in vecs] for v1 in vecs
-    ]
+    gram = [[sum(map(mul, v1, v2)) for v2 in vecs] for v1 in vecs]
     # The basis coordinates of (m0/m) l - u are P ((m0/m) l - u) with
-    # P = G^-1 V: solve for P once, column by column, and reuse it per point.
-    columns = [
-        _solve_fraction(gram, [Fraction(v[i]) for v in vecs]) for i in range(spec.arity)
-    ]
-    proj = list(zip(*columns))
+    # P = G^-1 V: solve for P once, all r columns in one elimination, and
+    # reuse it per point.
+    _, proj = _gauss_jordan(gram, vecs)
     offsets = [sum(pj * ui for pj, ui in zip(row, base)) for row in proj]
     scale = Fraction(m0, m)
     count = 0

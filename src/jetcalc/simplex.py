@@ -20,7 +20,9 @@ computed in closed form over exact rationals:
   form is homogenized on D_a and the product is integrated over the
   standard simplex (see :func:`vertex_product_expectation`).
 
-Pure functions on immutable values; safe to share across threads.
+Exponent vectors, here and in :mod:`lattice`, are checked in one place,
+:meth:`SimplexSpec.exponents`.  Pure functions on immutable values; safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -61,6 +63,18 @@ class SimplexSpec:
 
     def gcd(self) -> int:
         return math.gcd(*self.weights)
+
+    def exponents(self, powers: Iterable[int]) -> tuple[int, ...]:
+        """The exponent vector p as a tuple, checked to have arity r and
+        non-negative entries (ValueError otherwise)."""
+        p = tuple(int(q) for q in powers)
+        if len(p) != self.arity:
+            raise ValueError(
+                f"exponent vector has arity {len(p)}, simplex has {self.arity}"
+            )
+        if any(q < 0 for q in p):
+            raise ValueError("exponents must be non-negative")
+        return p
 
     def vertex(self, i: int) -> tuple[Fraction, ...]:
         """The i-th vertex e_i / a_i of D_a."""
@@ -220,16 +234,11 @@ def monomial_moment(spec: SimplexSpec, powers: Sequence[int]) -> Fraction:
 
     Closed form: (r-1)! * prod p_i! / (sum p_i + r - 1)! * prod a_i^(-p_i).
     """
-    a = spec.weights
+    p = spec.exponents(powers)
     r = spec.arity
-    p = tuple(int(q) for q in powers)
-    if len(p) != r:
-        raise ValueError(f"exponent vector has arity {len(p)}, simplex has {r}")
-    if any(q < 0 for q in p):
-        raise ValueError("exponents must be non-negative")
     num = math.factorial(r - 1) * math.prod(math.factorial(q) for q in p)
     den = math.factorial(sum(p) + r - 1)
-    scale = math.prod(w**q for w, q in zip(a, p))
+    scale = math.prod(w**q for w, q in zip(spec.weights, p))
     return Fraction(num, den * scale)
 
 

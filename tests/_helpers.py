@@ -1,10 +1,12 @@
 """Shared test helpers: generators for randomized tree tests (seeded,
 deterministic), finite differences of exact values, the monomial
-expansion of simplex expectations (the oracle for the vertex-value method)
+expansion of simplex expectations (the oracle for the vertex-value method),
 composition power sums by enumeration (the oracle for the
-generating-function convolution), the term-by-term ``Fraction`` product of
-graded polynomials (the oracle for the integer-numerator product) and a
-parser of rendered polynomial text (the oracle for ``render``)."""
+generating-function convolution), cofactor determinants and Cramer's rule
+(the oracle for the exact elimination in ``lattice``), the term-by-term
+``Fraction`` product of graded polynomials (the oracle for the
+integer-numerator product) and a parser of rendered polynomial text (the
+oracle for ``render``)."""
 
 from __future__ import annotations
 
@@ -216,6 +218,33 @@ def enumerated_power_sum(
         for l in enumerate_compositions(spec, m)
     )
     return Fraction(total, math.prod(math.factorial(q) for q in powers))
+
+
+def cofactor_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """det(rows) by cofactor expansion along the first row (exponential in
+    the size; the oracle for the Gauss-Jordan determinant)."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (
+            (-1) ** j * head * cofactor_det([[*row[:j], *row[j + 1 :]] for row in rows[1:]])
+            for j, head in enumerate(rows[0])
+            if head
+        ),
+        Fraction(0),
+    )
+
+
+def cramer_solve(
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> list[Fraction]:
+    """The solution x of rows x = rhs by Cramer's rule: x_j is the
+    determinant with column j replaced by rhs, over det(rows)."""
+    det = cofactor_det(rows)
+    return [
+        cofactor_det([[*row[:j], b, *row[j + 1 :]] for row, b in zip(rows, rhs)]) / det
+        for j in range(len(rows))
+    ]
 
 
 def naive_product(p: GradedPoly, q: GradedPoly) -> dict[tuple[int, ...], Fraction]:

@@ -96,6 +96,21 @@ def test_lattice_sum(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("powers", ["-2,0", "-1,0"])
+def test_lattice_sum_asymptotic_rejects_negative_exponents(capsys, powers):
+    # unchecked, -2,0 would reach Fraction(1, 1.5) and -1,0 would print 1/3
+    code, out, err = run(capsys, "lattice-sum", "--a", "2,3", f"--p={powers}", "--asymptotic")
+    assert code == 1 and out == "" and "exponents must be non-negative" in err
+
+
+@pytest.mark.parametrize("ranks", ["-1,3", "0,3", "1,2,1"])
+def test_whitney_rejects_bad_ranks(capsys, ranks):
+    # unchecked, rank -1 would slice the generators from the end and print
+    # the series for ranks (1, 1)
+    code, out, err = run(capsys, "whitney", "--weights", "1,2", f"--ranks={ranks}", "--bound", "2")
+    assert code == 1 and out == "" and "--ranks" in err
+
+
 def test_strat_degree_by_index(capsys):
     code, out, _ = run(capsys, "strat-degree", "--tree", TREE, "--label", "L", "--index", "1")
     assert code == 0 and out == "-1"

@@ -4,8 +4,10 @@ Random argv over every subcommand, with flags left out, malformed, or
 given small valid values, and random tree files, valid or broken (wrong
 types, missing fields, bad depths, unknown labels, not JSON at all).
 Every run must end in exit code 0, 1 or 2; any other exception escaping
-``main`` is a traceback the user would see.  Values stay small so that
-every run is quick: at most 1024 samples and one or two workers.
+``main`` is a traceback the user would see.  Exponent vectors (``--p``)
+may hold negative entries, which every handler must refuse with exit 1.
+Values stay small so that every run is quick: at most 1024 samples and one
+or two workers.
 """
 
 import contextlib
@@ -33,6 +35,10 @@ def _int_list(lo, hi, max_size):
     )
 
 
+# sampled, not drawn as integers, so that negative entries come up often
+EXPONENTS = st.lists(st.sampled_from(range(-2, 4)), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
 FLAG = object()  # a store_true flag: present or absent
 LABEL_LISTS = st.sampled_from(["L", "M", "L,M", "M,L", "L,L", "X", ",", "L,N"])
 LABELS = st.sampled_from(["L", "M", "N", "X", ""])
@@ -65,13 +71,13 @@ SUBCOMMANDS = {
     },
     "simplex-moment": {
         "--a": _int_list(0, 4, 4),
-        "--p": _int_list(0, 3, 4),
+        "--p": EXPONENTS,
         "--json": FLAG,
     },
     "simplex-volume": {"--a": _int_list(0, 4, 4), "--json": FLAG},
     "lattice-sum": {
         "--a": _int_list(0, 4, 4),
-        "--p": _int_list(0, 3, 4),
+        "--p": EXPONENTS,
         "--m": _text(st.integers(-2, 12)),
         "--asymptotic": FLAG,
         "--json": FLAG,
@@ -150,7 +156,9 @@ def argvs(draw):
         if how == "malformed":
             argv += [flag, draw(MALFORMED)]
         elif how == "valid":
-            argv += [flag, draw(values)]
+            value = draw(values)
+            # argparse reads "--p -1,0" as a flag missing its value
+            argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
     if noisy and draw(st.booleans()):
         argv.append(draw(st.sampled_from(["--bogus", "extra"])))
     return argv
@@ -236,24 +244,38 @@ AVERAGING_TREE = json.dumps(
 )
 
 
-@SETTINGS
-@given(argvs(), tree_texts())
-@example(["mc-experiment", "--name", "averaging", "--tree", "TREE"], AVERAGING_TREE)
-@example(["strat-degree", "--tree", "TREE", "--label", "L", "--upto", "0"], "3")
-def test_every_argv_exits_0_1_or_2(argv, tree_text):
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "tree.json"
-        tree.write_text(tree_text)
-        paths = {"TREE": str(tree), "MISSING": str(Path(tmp) / "missing.json")}
-        argv = [paths.get(token, token) for token in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exit_:
-                code = exit_.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
-    if code == 0:
-        assert out.getvalue() and not err.getvalue()
-    else:
-        assert not out.getvalue() and err.getvalue()
+def test_every_argv_exits_0_1_or_2():
+    negative_exponents_handled = []
+
+    @SETTINGS
+    @given(argvs(), tree_texts())
+    @example(["mc-experiment", "--name", "averaging", "--tree", "TREE"], AVERAGING_TREE)
+    @example(["strat-degree", "--tree", "TREE", "--label", "L", "--upto", "0"], "3")
+    @example(["lattice-sum", "--a", "2,3", "--p=-2,0", "--asymptotic"], "3")
+    @example(["simplex-moment", "--a", "1,2", "--p=-1,1"], "3")
+    def check(argv, tree_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp) / "tree.json"
+            tree.write_text(tree_text)
+            paths = {"TREE": str(tree), "MISSING": str(Path(tmp) / "missing.json")}
+            argv = [paths.get(token, token) for token in argv]
+            out, err = io.StringIO(), io.StringIO()
+            parsed = False
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                    parsed = True
+                except SystemExit as exit_:
+                    code = exit_.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert not out.getvalue() and err.getvalue()
+        if parsed and any(token.startswith("--p=-") for token in argv):
+            # a negative exponent is a domain error in every handler
+            assert code == 1, (argv, out.getvalue())
+            negative_exponents_handled.append(argv)
+
+    check()
+    assert negative_exponents_handled

@@ -395,27 +395,56 @@ def test_integrate_exact_when_sign_definite_else_mc():
         integrate(mixed, 0)
 
 
-def test_averaging_experiment_rejects_unknown_method():
-    # E = L + N on the single edge, so the tree factors
+def test_averaging_experiment_samples_when_a_twisted_form_changes_sign():
+    # E = L1 + L2 + N on every edge, so the tree factors; the first edge's
+    # form 2 L1 - L2 (+ 0 N) changes sign on every block-weighted simplex,
+    # so integrate refuses the exact route at each order and samples
     tree = tree_from_dict(
         {
-            "dimension": 1,
+            "dimension": 2,
             "bundles": [
-                {"label": "L", "denominator": 1},
-                {"label": "N", "denominator": 1},
-                {"label": "E", "denominator": 1},
+                {"label": label, "denominator": 1} for label in ("L1", "L2", "N", "E")
             ],
             "root": {
-                "children": [{"markings": {"L": 1, "E": 1}, "node": {"degree": 1}}]
+                "children": [
+                    {
+                        "markings": {"L1": 2, "L2": -1, "N": 0, "E": 1},
+                        "node": {
+                            "children": [
+                                {
+                                    "markings": {"L1": 1, "L2": 1, "N": 1, "E": 3},
+                                    "node": {"degree": 2},
+                                }
+                            ]
+                        },
+                    },
+                    {
+                        "markings": {"L1": 1, "L2": 0, "N": -2, "E": -1},
+                        "node": {
+                            "children": [
+                                {
+                                    "markings": {"L1": -1, "L2": 2, "N": 1, "E": 2},
+                                    "node": {"degree": 1},
+                                }
+                            ]
+                        },
+                    },
+                ]
             },
         }
     )
-    cfg = mc.MCConfig(seed=1, samples=1000)
-    report = averaging_experiment(tree, ["L"], "N", "E", 0, [2], cfg)
-    assert report["records"][0]["params"]["method"] == "exact"
-    for method in ("bogus", "exact"):
-        with pytest.raises(ValueError, match="method must be 'auto' or 'mc'"):
-            averaging_experiment(tree, ["L"], "N", "E", 0, [2], cfg, method=method)
+    cfg = mc.MCConfig(seed=23, samples=20_000, workers=2)
+    ks = [2, 3]
+    report = averaging_experiment(tree, ["L1", "L2"], "N", "E", 1, ks, cfg)
+    assert [row["params"]["k"] for row in report["records"]] == ks
+    for row, k in zip(report["records"], ks):
+        twisted = harmonic_twist(tree, ["L1", "L2"], "N", k)
+        with pytest.raises(MixedSignError):
+            integrate_exact(twisted, 1)
+        estimate, stderr = integrate_mc(twisted, 1, cfg)
+        assert row["params"]["method"] == "mc"
+        assert row["estimate"].hex() == estimate.hex()
+        assert row["stderr"].hex() == stderr.hex() and stderr > 0
 
 
 def test_harmonic_twist():

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _helpers import enumerated_power_sum
+from _helpers import cofactor_det, cramer_solve, enumerated_power_sum
 from jetcalc.lattice import (
     DegenerateLatticeError,
     InvalidCellError,
@@ -17,10 +17,11 @@ from jetcalc.lattice import (
     power_sum,
     power_sum_asymptotic,
     power_sum_table,
-    weighted_power_poly_sum,
+    _gauss_jordan,
 )
 from jetcalc import simplex
 from jetcalc.ring import GradedRing
+from jetcalc.segre import BundleFactor, WeightedSplitBundle, chi_leading_exact
 from jetcalc.simplex import SimplexSpec
 
 
@@ -83,13 +84,38 @@ def test_power_sum_converges_to_asymptotic():
         assert errors[0] > errors[1] > errors[2]
 
 
+def test_exponent_vectors_are_checked_for_every_caller():
+    # one check, SimplexSpec.exponents, for the exact sum, its growth
+    # coefficient and the simplex moment
+    spec = SimplexSpec((2, 3))
+    assert spec.exponents([1, 0]) == (1, 0)
+    exact = lambda spec, p: power_sum(spec, p, 6)
+    for quantity in (power_sum_asymptotic, exact, simplex.monomial_moment):
+        for p in ((-1, 0), (-2, 0), (0, -1)):
+            with pytest.raises(ValueError, match="exponents must be non-negative"):
+                quantity(spec, p)
+        for p in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError, match="arity"):
+                quantity(spec, p)
+
+
+def _generator_bundle(ring, spec):
+    """One line bundle per generator x_i of the ring, in the weights of spec:
+    chi_leading_exact on it is sum over H_m of (l_1 x_1 + ... + l_r x_r)^n / n!."""
+    return WeightedSplitBundle(
+        factors=tuple(
+            BundleFactor(roots=(g,), weight=w) for g, w in zip(ring.gens(), spec.weights)
+        )
+    )
+
+
 def test_weighted_power_poly_sum():
     ring = GradedRing(bound=2, variables=(("a1", 1), ("a2", 1)))
     a1, a2 = ring.gen("a1"), ring.gen("a2")
     spec = SimplexSpec((1, 1))
-    assert weighted_power_poly_sum(ring, spec, 1, 4) == 10 * a1 + 10 * a2
+    assert chi_leading_exact(_generator_bundle(ring, spec), 1, 4) == 10 * a1 + 10 * a2
     count = power_sum(spec, (0, 0), 5)
-    assert weighted_power_poly_sum(ring, spec, 0, 5) == ring.const(count)
+    assert chi_leading_exact(_generator_bundle(ring, spec), 0, 5) == ring.const(count)
 
 
 def test_weighted_power_poly_sum_term_by_term_oracle():
@@ -110,7 +136,7 @@ def test_weighted_power_poly_sum_term_by_term_oracle():
                 linear = linear + li * g
             acc = acc + linear**n
         acc = acc * Fraction(1, factorial(n))
-        assert weighted_power_poly_sum(ring, spec, n, m) == acc
+        assert chi_leading_exact(_generator_bundle(ring, spec), n, m) == acc
 
 
 def test_weighted_power_poly_sum_asymptotic_bracket():
@@ -120,7 +146,7 @@ def test_weighted_power_poly_sum_asymptotic_bracket():
     a1, a2 = ring.gen("a1"), ring.gen("a2")
     target = a1 + a2
     for m, tol in ((40, Fraction(1, 35)), (80, Fraction(1, 75))):
-        scaled = weighted_power_poly_sum(ring, spec, 1, m) * Fraction(2, m * m)
+        scaled = chi_leading_exact(_generator_bundle(ring, spec), 1, m) * Fraction(2, m * m)
         diff = scaled - target
         assert max(abs(c) for _, c in diff.items()) <= tol
 
@@ -210,6 +236,65 @@ def test_lattice_basis_random_primitivity():
             assert sum(x * w for x, w in zip(v, a)) == 0
 
 
+ENTRIES = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+)
+
+
+@st.composite
+def linear_systems(draw):
+    """A square A (n <= 4) and B with k <= 3 right-hand-side columns.
+
+    Some draws make the last row a multiple of the first (singular), zero
+    the first pivot (a row swap when A is regular) or zero a column of B.
+    """
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        c = draw(ENTRIES)
+        rows[-1] = [c * x for x in rows[0]]
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    columns = [
+        [0] * n if draw(st.booleans()) else draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return rows, [[col[i] for col in columns] for i in range(n)], columns
+
+
+def test_gauss_jordan_matches_cofactors_and_cramer():
+    reached = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(([[0, 1], [1, 0]], [[2, 0], [3, 0]], [[2, 3], [0, 0]]))
+    @example(([[1, 2], [2, 4]], [[1], [1]], [[1, 1]]))
+    @given(linear_systems())
+    def check(system):
+        rows, rhs, columns = system
+        before = [row[:] for row in rows]
+        det, solution = _gauss_jordan(rows, rhs)
+        assert rows == before
+        assert isinstance(det, Fraction) and det == cofactor_det(rows)
+        if det == 0:
+            assert solution is None
+            reached.add("singular")
+            return
+        assert len(solution) == len(rows)
+        for j, column in enumerate(columns):
+            assert [row[j] for row in solution] == cramer_solve(rows, column)
+        assert all(len(row) == len(columns) for row in solution)
+        n = len(rows)
+        if any(cofactor_det([row[:i] for row in rows[:i]]) == 0 for i in range(1, n)):
+            reached.add("row swap")
+        if any(not any(column) for column in columns):
+            reached.add("zero rhs")
+        if len(columns) >= 2:
+            reached.add("several rhs")
+
+    check()
+    assert reached == {"singular", "row swap", "zero rhs", "several rhs"}
+
+
 def test_count_cone_points_base_cases():
     spec = SimplexSpec((1, 1))
     assert count_cone_points(spec, 1, (1, 0), 1) == 1
@@ -223,7 +308,7 @@ def _cell_base(spec, basis, l, m0, m):
     """The integer base point of the half-open cell containing (m0/m) * l."""
     from math import floor
 
-    from jetcalc.lattice import _solve_fraction, _xgcd
+    from jetcalc.lattice import _xgcd
 
     r = spec.arity
     g = spec.gcd()
@@ -244,7 +329,7 @@ def _cell_base(spec, basis, l, m0, m):
         [Fraction(sum(p * q for p, q in zip(v1, v2))) for v2 in vecs] for v1 in vecs
     ]
     rhs = [sum((Fraction(v[i]) * delta[i] for i in range(r)), Fraction(0)) for v in vecs]
-    coords = _solve_fraction(gram, rhs)
+    coords = cramer_solve(gram, rhs)
     floors = [floor(c) for c in coords]
     return tuple(
         u_ref[i] + sum(f * v[i] for f, v in zip(floors, vecs)) for i in range(r)
