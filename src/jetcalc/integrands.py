@@ -17,7 +17,12 @@ Integration over the simplex is exact whenever every edge form has one
 sign on the whole simplex (checkable at the vertices, since the forms are
 affine), or when the index cap is at least n so no indicator survives: the
 integrand is then a single polynomial, and each path's product of edge
-forms integrates exactly from the forms' vertex values.  Otherwise a
+forms integrates exactly from the forms' vertex values.  Every vertex value
+of every edge is read from the edge's integer markings as a numerator over
+one common denominator C, so the signs, every path's vertex-value sum and
+their total stay in integers, and one ``Fraction`` is built per integral.
+The affine forms themselves serve only the pointwise sums and the
+Monte-Carlo fallback.  Otherwise a
 deterministic seeded Monte-Carlo fallback reports (estimate, standard
 error).  :func:`integrate` makes that choice for the jet bound and the
 averaging experiment: it returns the exact value with a standard error of
@@ -42,14 +47,11 @@ import numpy as np
 
 from . import mc
 from .ring import Scalar
-from .simplex import (
-    AffineForm,
-    SimplexSpec,
-    vertex_product_expectation,
-    vertex_values,
-)
+from .simplex import AffineForm, SimplexSpec, vertex_product_sum
 from .strat import (
     ChildEdge,
+    InternalNode,
+    Node,
     StratTree,
     assignment_max,
     degree_truncated,
@@ -170,70 +172,115 @@ def max_tensor_degree(
 # -- integration ----------------------------------------------------------------
 
 
-def _classify_edge(values: Sequence[Fraction]) -> int:
-    """Sign of an affine form on the simplex: +1 never negative, -1 negative
-    almost everywhere, 0 identically zero; raises on a genuine sign change.
+def _compile(tree: StratTree) -> tuple[list[ChildEdge], list[tuple[list[int], int]]]:
+    """The distinct edge objects, in pre-order of first appearance, and
+    every root-to-leaf path as (edge indices, leaf degree).
 
-    An affine form on a simplex attains its extremes at the vertices
-    e_l / a_l, so the vertex values coeff_l / a_l + constant decide.
-    """
-    low, high = min(values), max(values)
-    if low < 0 < high:
-        raise MixedSignError(
-            "an edge form changes sign on the simplex; use Monte-Carlo integration"
-        )
-    return -1 if low < 0 else int(high > 0)
-
-
-def _compile(
-    prob: MarkedSimplexProblem, with_twist: bool
-) -> tuple[list[AffineForm], list[tuple[list[int], int]]]:
-    """The forms of the distinct edge objects, in pre-order of first
-    appearance, and every root-to-leaf path as (form indices, leaf degree).
-
-    The forms include edges on no path (into childless internal nodes).
-    :func:`integrate_mc` keeps their columns: the bits of its matmul
-    ``t @ C.T`` depend on the column set, so dropping one can change the
-    last bit of the marks that are kept.
+    The edges include those on no path (into childless internal nodes).
+    :func:`integrate_mc` builds one form per edge and keeps their columns:
+    the bits of its matmul ``t @ C.T`` depend on the column set, so
+    dropping one can change the last bit of the marks that are kept.
     """
     index_of: dict[int, int] = {}
-    forms: list[AffineForm] = []
-    for edge in prob.tree.edges():
+    edges: list[ChildEdge] = []
+    for edge in tree.edges():
         if id(edge) not in index_of:
-            index_of[id(edge)] = len(forms)
-            forms.append(prob.edge_form(edge, with_twist))
+            index_of[id(edge)] = len(edges)
+            edges.append(edge)
     paths = [
-        ([index_of[id(edge)] for edge in edges], leaf.degree)
-        for edges, leaf in prob.tree.paths()
+        ([index_of[id(edge)] for edge in path], leaf.degree)
+        for path, leaf in tree.paths()
     ]
-    return forms, paths
+    return edges, paths
+
+
+def _vertex_rows(
+    prob: MarkedSimplexProblem, edges: Sequence[ChildEdge]
+) -> tuple[list[list[int]], int]:
+    """Each edge form's values at the vertices e_i / a_i, as integer
+    numerators over one common denominator C, and C.
+
+    At vertex i the form is marking(label_i) / (denominator(label_i) a_i),
+    plus, with a twist, aux_scale * marking(aux) / denominator(aux).  C is
+    the lcm of those denominators, so each value is its marking times one
+    integer multiplier per coordinate, plus the twist marking times one
+    multiplier for the twist.
+    """
+    tree, aux = prob.tree, prob.aux_label
+    weights = prob.simplex.weights
+    scales = [tree.denominator(label) * a for label, a in zip(prob.labels, weights)]
+    aux_scale = 1 if aux is None else tree.denominator(aux) * prob.aux_scale.denominator
+    common = math.lcm(*scales, aux_scale)
+    twist = 0 if aux is None else prob.aux_scale.numerator * (common // aux_scale)
+    multipliers = [(label, common // s) for label, s in zip(prob.labels, scales)]
+    rows = []
+    for edge in edges:
+        marks = edge.markings
+        shift = 0 if aux is None else marks[aux] * twist
+        rows.append([marks[label] * m + shift for label, m in multipliers])
+    return rows, common
+
+
+def _position(root: Node, target: ChildEdge) -> str:
+    """The first position of an edge in pre-order, as a child-index path
+    such as ``root→1→0``."""
+
+    def walk(node: Node, path: list[str]) -> list[str] | None:
+        if isinstance(node, InternalNode):
+            for i, edge in enumerate(node.children):
+                here = [*path, str(i)]
+                if edge is target:
+                    return here
+                found = walk(edge.child, here)
+                if found is not None:
+                    return found
+        return None
+
+    return "→".join(walk(root, ["root"]))
 
 
 def integrate_exact(prob: MarkedSimplexProblem, max_index: int) -> Fraction:
     """Exact integral of the index sum over the simplex, uniform measure.
 
     Twist shifts are included whenever the problem carries a twist label.
-    Requires every edge form to keep one sign on the simplex (identically
-    zero forms are allowed: they kill their paths), unless max_index >= n
-    in which case every path counts and no sign analysis is needed.  The
-    surviving integrand is a polynomial; each path contributes its leaf
-    degree times the exact expectation of the product of its edge forms.
+    Requires every edge form on a root-to-leaf path to keep one sign on the
+    simplex (identically zero forms are allowed: they kill their paths),
+    unless max_index >= n in which case every path counts and no sign
+    analysis is needed.  The surviving integrand is a polynomial; each path
+    contributes its leaf degree times the exact expectation of the product
+    of its edge forms.  With every vertex value an integer over C, each
+    path's :func:`simplex.vertex_product_sum` is an integer, and since every
+    path has n edges the integral is
+
+        total * (r-1)! / ((n+r-1)! * C^n),
+
+    with total the sum of the surviving paths' sums times their leaf degrees.
     """
-    forms, paths = _compile(prob, prob.aux_label is not None)
-    values = [vertex_values(prob.simplex, form) for form in forms]
+    edges, paths = _compile(prob.tree)
+    rows, common = _vertex_rows(prob, edges)
+    n, r = prob.tree.dimension, prob.arity
     negative: set[int] = set()
-    if max_index < prob.tree.dimension:
+    if max_index < n:
         # only edges on some path: a childless internal node ends no path
-        on_paths = {c for cols, _ in paths for c in cols}
-        negative = {c for c in on_paths if _classify_edge(values[c]) < 0}
-    total = Fraction(0)
+        for c in sorted({c for cols, _ in paths for c in cols}):
+            low, high = min(rows[c]), max(rows[c])
+            if low < 0 < high:
+                values = ", ".join(str(Fraction(v, common)) for v in rows[c])
+                raise MixedSignError(
+                    f"the edge form at {_position(prob.tree.root, edges[c])} changes "
+                    f"sign on the simplex (vertex values {values}); use Monte-Carlo "
+                    "integration"
+                )
+            if low < 0:
+                negative.add(c)
+    total = 0
     for cols, degree in paths:
         if sum(c in negative for c in cols) > max_index:
             continue
-        total += degree * vertex_product_expectation(
-            prob.arity, [values[c] for c in cols]
-        )
-    return total
+        total += degree * vertex_product_sum(r, [rows[c] for c in cols])
+    return Fraction(
+        total * math.factorial(r - 1), math.factorial(n + r - 1) * common**n
+    )
 
 
 def integrate_mc(
@@ -245,7 +292,8 @@ def integrate_mc(
     Deterministic for fixed (seed, samples) and independent of the worker
     count: sampling and evaluation are block-wise with merged tallies.
     """
-    forms, paths = _compile(prob, prob.aux_label is not None)
+    edges, paths = _compile(prob.tree)
+    forms = [prob.edge_form(edge, prob.aux_label is not None) for edge in edges]
     coeff_matrix = np.array(
         [[float(c) for c in f.coeffs] for f in forms], dtype=float
     ).reshape(len(forms), prob.arity)

@@ -18,7 +18,8 @@ computed in closed form over exact rationals:
 
 * exact expectations of products of affine forms, by vertex values: each
   form is homogenized on D_a and the product is integrated over the
-  standard simplex (see :func:`vertex_product_expectation`).
+  standard simplex; :func:`vertex_product_sum` is the integer core that
+  takes each form's vertex values as integers over a common denominator.
 
 Exponent vectors, here and in :mod:`lattice`, are checked in one place,
 :meth:`SimplexSpec.exponents`.  Pure functions on immutable values; safe
@@ -263,58 +264,57 @@ def gram_det(alpha: Sequence[Scalar]) -> Fraction:
     return prod_sq * inv_sum
 
 
-def vertex_values(spec: SimplexSpec, form: AffineForm) -> tuple[Fraction, ...]:
-    """Values c + b_i / a_i of the form c + sum_i b_i t_i at the vertices e_i / a_i."""
-    if form.arity != spec.arity:
-        raise ValueError(
-            f"form arity {form.arity} does not match simplex arity {spec.arity}"
-        )
-    c = form.constant
-    return tuple(c + b / a for b, a in zip(form.coeffs, spec.weights))
-
-
 def affine_product_expectation(
     spec: SimplexSpec, forms: Sequence[AffineForm]
 ) -> Fraction:
-    """E[prod_j f_j(T)] for T uniform on D_a, exactly, from vertex values."""
-    return vertex_product_expectation(
-        spec.arity, [vertex_values(spec, f) for f in forms]
-    )
+    """E[prod_j f_j(T)] for T uniform on D_a, exactly, from vertex values.
 
-
-def vertex_product_expectation(r: int, rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """E[prod_j f_j(T)] for T uniform on an arity-r simplex D_a, exactly,
-    given each form's vertex values ``rows[j]`` (see :func:`vertex_values`).
-
-    On D_a a constant c equals c * sum_i a_i t_i, so each form is
-    sum_i v_i z_i with v_i its vertex values and z = (a_i t_i) uniform on the
-    standard simplex, where E[z^m] = (r-1)! prod m_i! / (|m|+r-1)!.  For M
-    forms this gives (Baldoni, Berline, De Loera, Koeppe, Vergne, "How to
-    integrate a polynomial over a simplex", Math. Comp. 80 (2011))
-
-        E[prod_j f_j] = (r-1)!/(M+r-1)! * sum over maps phi: [M] -> [r] of
-                        prod_i m_i(phi)! * prod_j v_{j, phi(j)},
-
-    with m_i(phi) the number of forms sent to vertex i.  Each form's vertex
-    values are scaled to integers, and the sum is taken by whichever of two
-    exact methods does fewer steps: a DP over subsets of forms (about
-    r 3^M steps) or an expansion over degree-M exponent vectors (about
-    r binom(M+r-1, r-1)).
+    Form j's value at the vertex e_i / a_i is c_j + b_{j,i} / a_i; its
+    values are scaled to integers by the lcm D_j of their denominators, and
+    the expectation is (r-1)!/(M+r-1)! * :func:`vertex_product_sum` of the
+    scaled rows / prod_j D_j.
     """
-    scaled: list[list[int]] = []
+    r = spec.arity
+    rows: list[list[int]] = []
     denominator = 1
-    for values in rows:
+    for form in forms:
+        if form.arity != r:
+            raise ValueError(
+                f"form arity {form.arity} does not match simplex arity {r}"
+            )
+        values = [form.constant + b / a for b, a in zip(form.coeffs, spec.weights)]
         d = math.lcm(*(v.denominator for v in values))
-        scaled.append([v.numerator * (d // v.denominator) for v in values])
+        rows.append([v.numerator * (d // v.denominator) for v in values])
         denominator *= d
-    m = len(scaled)
-    if 3**m <= math.comb(m + r - 1, r - 1):
-        total = _sum_by_subsets(scaled, r)
-    else:
-        total = _sum_by_exponents(scaled, r)
     return Fraction(
-        total * math.factorial(r - 1), math.factorial(m + r - 1) * denominator
+        vertex_product_sum(r, rows) * math.factorial(r - 1),
+        math.factorial(len(rows) + r - 1) * denominator,
     )
+
+
+def vertex_product_sum(r: int, rows: list[list[int]]) -> int:
+    """sum over maps phi: [M] -> [r] of prod_i m_i(phi)! * prod_j rows[j][phi(j)],
+    with m_i(phi) the number of forms sent to vertex i.
+
+    This is the integer core of the expectation of a product of affine
+    forms on an arity-r simplex D_a.  On D_a a constant c equals
+    c * sum_i a_i t_i, so each form is sum_i v_i z_i with v_i its value at
+    the vertex e_i / a_i and z = (a_i t_i) uniform on the standard simplex,
+    where E[z^m] = (r-1)! prod m_i! / (|m|+r-1)!.  For M forms whose vertex
+    values are rows[j] / D_j this gives (Baldoni, Berline, De Loera, Koeppe,
+    Vergne, "How to integrate a polynomial over a simplex", Math. Comp. 80
+    (2011))
+
+        E[prod_j f_j] = (r-1)! / ((M+r-1)! prod_j D_j) * (this sum).
+
+    The sum is taken by whichever of two exact methods does fewer steps: a
+    DP over subsets of forms (about r 3^M steps) or an expansion over
+    degree-M exponent vectors (about r binom(M+r-1, r-1)).
+    """
+    m = len(rows)
+    if 3**m <= math.comb(m + r - 1, r - 1):
+        return _sum_by_subsets(rows, r)
+    return _sum_by_exponents(rows, r)
 
 
 def _sum_by_subsets(rows: list[list[int]], r: int) -> int:

@@ -1,6 +1,8 @@
 """Shared test helpers: generators for randomized tree tests (seeded,
-deterministic), finite differences of exact values, the monomial
-expansion of simplex expectations (the oracle for the vertex-value method),
+deterministic), the documented averaging tree, finite differences of exact
+values, the monomial expansion of simplex expectations (the oracle for the
+vertex-value method), the path-by-path exact integral over ``Fraction``
+forms (the oracle for ``integrate_exact``'s integer vertex values),
 composition power sums by enumeration (the oracle for the
 generating-function convolution), cofactor determinants and Cramer's rule
 (the oracle for the exact elimination in ``lattice``), the term-by-term
@@ -15,6 +17,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from jetcalc.integrands import MarkedSimplexProblem, MixedSignError
 from jetcalc.lattice import enumerate_compositions
 from jetcalc.ring import GradedPoly
 from jetcalc.simplex import AffineForm, SimplexSpec, monomial_moment
@@ -28,6 +31,40 @@ from jetcalc.strat import (
     NodeCover,
     StratTree,
 )
+
+
+# The documented dimension-2 averaging tree.  Base label L1, L2; the whole
+# bundle E marks each edge with the sum of the base markings (the auxiliary
+# twist N is identically zero).  Branch X marks L1 then L2 (cross terms),
+# branch Y marks L1 twice, branch Z marks L2 twice with a negative second
+# stratum.  Same-label covariance contributions cancel (1*2 + (-2)*1 = 0
+# against the cross branch's zero), leaving a pure 1/(2k+1) deviation, so
+# the scaled integrals approach the truncated degree strictly monotonically.
+AVERAGING_TREE = {
+    "dimension": 2,
+    "bundles": [
+        {"label": "L1", "denominator": 1},
+        {"label": "L2", "denominator": 1},
+        {"label": "N", "denominator": 1},
+        {"label": "E", "denominator": 1},
+    ],
+    "root": {
+        "children": [
+            {
+                "markings": {"L1": 1, "E": 1},
+                "node": {"children": [{"markings": {"L2": 2, "E": 2}, "node": {"degree": 1}}]},
+            },
+            {
+                "markings": {"L1": 1, "E": 1},
+                "node": {"children": [{"markings": {"L1": 2, "E": 2}, "node": {"degree": 1}}]},
+            },
+            {
+                "markings": {"L2": 1, "E": 1},
+                "node": {"children": [{"markings": {"L2": -2, "E": -2}, "node": {"degree": 1}}]},
+            },
+        ]
+    },
+}
 
 
 def random_tree(
@@ -206,6 +243,38 @@ def expanded_expectation(spec: SimplexSpec, forms: Sequence[AffineForm]) -> Frac
         (coeff * monomial_moment(spec, exps) for exps, coeff in poly.items()),
         Fraction(0),
     )
+
+
+def per_path_integral(prob: MarkedSimplexProblem, max_index: int) -> Fraction:
+    """The exact integral of the index sum over the simplex, path by path.
+
+    Each edge's affine form (:meth:`MarkedSimplexProblem.edge_form`, twist
+    included when the problem has one) is evaluated at the vertices
+    e_i / a_i.  Below cap n, a form on some path whose vertex values take
+    both signs raises :class:`MixedSignError`, and a form with a negative
+    vertex value counts as negative.  Each path with at most ``max_index``
+    negative forms adds its leaf degree times the
+    :func:`expanded_expectation` of its forms.
+    """
+    spec = prob.simplex
+    twist = prob.aux_label is not None
+    paths = list(prob.tree.paths())
+    forms = {id(edge): prob.edge_form(edge, twist) for edges, _ in paths for edge in edges}
+    negative = set()
+    if max_index < prob.tree.dimension:
+        for key, form in forms.items():
+            values = [form(spec.vertex(i)) for i in range(spec.arity)]
+            if min(values) < 0 < max(values):
+                raise MixedSignError("an edge form changes sign on the simplex")
+            if min(values) < 0:
+                negative.add(key)
+    total = Fraction(0)
+    for edges, leaf in paths:
+        if sum(id(edge) in negative for edge in edges) <= max_index:
+            total += leaf.degree * expanded_expectation(
+                spec, [forms[id(edge)] for edge in edges]
+            )
+    return total
 
 
 def enumerated_power_sum(

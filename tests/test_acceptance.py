@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from _helpers import (
+    AVERAGING_TREE,
     forward_difference,
     internal_paths,
     label_options,
@@ -322,40 +323,6 @@ def test_criterion_7_assignment_max_brute_vs_dp():
         if brute != fast:
             ok = False
     _finish(7, "500x assignment maximum, brute force == subtree dp", ok, started)
-
-
-# The documented dimension-2 averaging tree.  Base label L1, L2; the whole
-# bundle E marks each edge with the sum of the base markings (the auxiliary
-# twist N is identically zero).  Branch X marks L1 then L2 (cross terms),
-# branch Y marks L1 twice, branch Z marks L2 twice with a negative second
-# stratum.  Same-label covariance contributions cancel (1*2 + (-2)*1 = 0
-# against the cross branch's zero), leaving a pure 1/(2k+1) deviation, so
-# the scaled integrals approach the truncated degree strictly monotonically.
-AVERAGING_TREE = {
-    "dimension": 2,
-    "bundles": [
-        {"label": "L1", "denominator": 1},
-        {"label": "L2", "denominator": 1},
-        {"label": "N", "denominator": 1},
-        {"label": "E", "denominator": 1},
-    ],
-    "root": {
-        "children": [
-            {
-                "markings": {"L1": 1, "E": 1},
-                "node": {"children": [{"markings": {"L2": 2, "E": 2}, "node": {"degree": 1}}]},
-            },
-            {
-                "markings": {"L1": 1, "E": 1},
-                "node": {"children": [{"markings": {"L1": 2, "E": 2}, "node": {"degree": 1}}]},
-            },
-            {
-                "markings": {"L2": 1, "E": 1},
-                "node": {"children": [{"markings": {"L2": -2, "E": -2}, "node": {"degree": 1}}]},
-            },
-        ]
-    },
-}
 
 
 def test_criterion_8_averaging_experiment():

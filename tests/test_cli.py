@@ -8,6 +8,8 @@ import pytest
 from _helpers import label_options, random_tree
 from jetcalc import cli
 from jetcalc.cli import main
+from jetcalc.integrands import MarkedSimplexProblem, MixedSignError, integrate_exact
+from jetcalc.simplex import SimplexSpec
 from jetcalc.strat import assignment_max_brute, tree_from_dict, tree_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -209,6 +211,46 @@ def test_upsilon_integrate_mixed_sign_is_domain_error(capsys, tmp_path):
         "--a", "1,1", "--upto", "0",
     )
     assert code == 1 and "sign" in err
+
+
+def test_mixed_sign_error_names_the_edge_and_its_vertex_values(capsys, tmp_path):
+    # the edge at root->1->0 marks t1 - t2/2, worth 1 at e1 and -1/4 at e2/2
+    tree = {
+        "dimension": 2,
+        "bundles": [
+            {"label": "L1", "denominator": 1},
+            {"label": "L2", "denominator": 2},
+        ],
+        "root": {
+            "children": [
+                {
+                    "markings": {"L1": 1, "L2": 0},
+                    "node": {"children": [{"markings": {"L1": 1, "L2": 0}, "node": {"degree": 1}}]},
+                },
+                {
+                    "markings": {"L1": 0, "L2": 1},
+                    "node": {"children": [{"markings": {"L1": 1, "L2": -1}, "node": {"degree": 1}}]},
+                },
+            ]
+        },
+    }
+    message = (
+        "the edge form at root→1→0 changes sign on the simplex "
+        "(vertex values 1, -1/4); use Monte-Carlo integration"
+    )
+    prob = MarkedSimplexProblem(
+        tree=tree_from_dict(tree), labels=("L1", "L2"), simplex=SimplexSpec((1, 2))
+    )
+    with pytest.raises(MixedSignError) as raised:
+        integrate_exact(prob, 0)
+    assert str(raised.value) == message
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    code, out, err = run(
+        capsys, "upsilon-integrate", "--tree", str(path), "--labels", "L1,L2",
+        "--a", "1,2", "--upto", "0",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_jet_bound(capsys, tmp_path):

@@ -1,13 +1,17 @@
 """Property test of the CLI exit-code contract.
 
-Random argv over every subcommand, with flags left out, malformed, or
-given small valid values, and random tree files, valid or broken (wrong
-types, missing fields, bad depths, unknown labels, not JSON at all).
-Every run must end in exit code 0, 1 or 2; any other exception escaping
-``main`` is a traceback the user would see.  Exponent vectors (``--p``)
-may hold negative entries, which every handler must refuse with exit 1.
-Values stay small so that every run is quick: at most 1024 samples and one
-or two workers.
+One property per subcommand: random argv with flags left out, malformed,
+or given small valid values, and random tree files, valid or broken (wrong
+types, missing fields, bad depths, unknown labels, not JSON at all).  Each
+subcommand draws only its own flags, so an edit to one subcommand's flags
+does not move what another's property reaches.  A pair of flags that
+argparse makes mutually exclusive is drawn as one choice: neither, one,
+the other or both.  Every run must end in exit code 0, 1 or 2; any other
+exception escaping ``main`` is a traceback the user would see.  Every
+handler must be reached by some argv that the parser accepts.  Exponent
+vectors (``--p``) may hold negative entries, which every handler must
+refuse with exit 1.  Values stay small so that every run is quick: at
+most 1024 samples and one or two workers.
 """
 
 import contextlib
@@ -16,11 +20,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jetcalc.cli import main
 
-SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+# 40 examples for each of the 12 subcommands: 480 in all
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 MALFORMED = st.sampled_from(["", "x", "1,,2", "2.5", "1/0", "-", "--json"])
 
@@ -40,6 +46,9 @@ EXPONENTS = st.lists(st.sampled_from(range(-2, 4)), min_size=1, max_size=4).map(
     lambda xs: ",".join(map(str, xs))
 )
 FLAG = object()  # a store_true flag: present or absent
+# A key that is a pair of flags names an argparse mutually exclusive group;
+# its value holds the two flags' values.
+EXCLUSIVE_CHOICES = ((), (0,), (1,), (0, 1))  # neither, one, the other, both
 LABEL_LISTS = st.sampled_from(["L", "M", "L,M", "M,L", "L,L", "X", ",", "L,N"])
 LABELS = st.sampled_from(["L", "M", "N", "X", ""])
 TREES = st.sampled_from(["TREE", "TREE", "TREE", "MISSING"])
@@ -78,15 +87,13 @@ SUBCOMMANDS = {
     "lattice-sum": {
         "--a": _int_list(0, 4, 4),
         "--p": EXPONENTS,
-        "--m": _text(st.integers(-2, 12)),
-        "--asymptotic": FLAG,
+        ("--m", "--asymptotic"): (_text(st.integers(-2, 12)), FLAG),
         "--json": FLAG,
     },
     "strat-degree": {
         "--tree": TREES,
         "--label": LABELS,
-        "--upto": _text(st.integers(-1, 3)),
-        "--index": _text(st.integers(-1, 3)),
+        ("--upto", "--index"): (_text(st.integers(-1, 3)), _text(st.integers(-1, 3))),
         "--json": FLAG,
     },
     "strat-cmax": {
@@ -137,28 +144,34 @@ SUBCOMMANDS = {
 
 
 @st.composite
-def argvs(draw):
-    """One subcommand; each of its flags left out, malformed or valid.
+def argvs(draw, command):
+    """The subcommand; each of its flags left out, malformed or valid.
 
     Half the argvs are clean, with no malformed value, so that runs get
     past the parser as often as they stop in it.
     """
-    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     noisy = draw(st.booleans())
     ways = ("valid", "valid", "omit", "malformed") if noisy else ("valid",) * 9 + ("omit",)
     argv = [command]
-    for flag, values in SUBCOMMANDS[command].items():
+
+    def add(flag, values):
         if values is FLAG:
-            if draw(st.booleans()):
-                argv.append(flag)
-            continue
+            argv.append(flag)
+            return
         how = draw(st.sampled_from(ways))
         if how == "malformed":
-            argv += [flag, draw(MALFORMED)]
+            argv.extend([flag, draw(MALFORMED)])
         elif how == "valid":
             value = draw(values)
             # argparse reads "--p -1,0" as a flag missing its value
-            argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+            argv.extend([f"{flag}={value}"] if value.startswith("-") else [flag, value])
+
+    for flag, values in SUBCOMMANDS[command].items():
+        if isinstance(flag, tuple):
+            for i in draw(st.sampled_from(EXCLUSIVE_CHOICES)):
+                add(flag[i], values[i])
+        elif values is not FLAG or draw(st.booleans()):
+            add(flag, values)
     if noisy and draw(st.booleans()):
         argv.append(draw(st.sampled_from(["--bogus", "extra"])))
     return argv
@@ -244,38 +257,55 @@ AVERAGING_TREE = json.dumps(
 )
 
 
-def test_every_argv_exits_0_1_or_2():
-    negative_exponents_handled = []
+EXAMPLES = {
+    "mc-experiment": [(["mc-experiment", "--name", "averaging", "--tree", "TREE"], AVERAGING_TREE)],
+    "strat-degree": [(["strat-degree", "--tree", "TREE", "--label", "L", "--upto", "0"], "3")],
+    "lattice-sum": [(["lattice-sum", "--a", "2,3", "--p=-2,0", "--asymptotic"], "3")],
+    "simplex-moment": [(["simplex-moment", "--a", "1,2", "--p=-1,1"], "3")],
+}
 
-    @SETTINGS
-    @given(argvs(), tree_texts())
-    @example(["mc-experiment", "--name", "averaging", "--tree", "TREE"], AVERAGING_TREE)
-    @example(["strat-degree", "--tree", "TREE", "--label", "L", "--upto", "0"], "3")
-    @example(["lattice-sum", "--a", "2,3", "--p=-2,0", "--asymptotic"], "3")
-    @example(["simplex-moment", "--a", "1,2", "--p=-1,1"], "3")
+
+def _run(argv, tree_text):
+    """(exit code, stdout, stderr, whether the handler was entered) of one
+    argv, with its TREE and MISSING tokens pointing at a temporary tree
+    file and a missing one.  ``main`` returns only from the handler that
+    the parser chose; a parse error leaves it through SystemExit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree.json"
+        tree.write_text(tree_text)
+        paths = {"TREE": str(tree), "MISSING": str(Path(tmp) / "missing.json")}
+        argv = [paths.get(token, token) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                return main(argv), out.getvalue(), err.getvalue(), True
+            except SystemExit as exit_:
+                return exit_.code, out.getvalue(), err.getvalue(), False
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_argv_exits_0_1_or_2(command):
+    handled = []  # (argv, exit code) of every run that entered the handler
+
     def check(argv, tree_text):
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = Path(tmp) / "tree.json"
-            tree.write_text(tree_text)
-            paths = {"TREE": str(tree), "MISSING": str(Path(tmp) / "missing.json")}
-            argv = [paths.get(token, token) for token in argv]
-            out, err = io.StringIO(), io.StringIO()
-            parsed = False
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                    parsed = True
-                except SystemExit as exit_:
-                    code = exit_.code
-        assert code in (0, 1, 2), (argv, err.getvalue())
+        code, out, err, entered = _run(argv, tree_text)
+        assert code in (0, 1, 2), (argv, err)
         if code == 0:
-            assert out.getvalue() and not err.getvalue()
+            assert out and not err
         else:
-            assert not out.getvalue() and err.getvalue()
-        if parsed and any(token.startswith("--p=-") for token in argv):
-            # a negative exponent is a domain error in every handler
-            assert code == 1, (argv, out.getvalue())
-            negative_exponents_handled.append(argv)
+            assert not out and err
+        if entered:
+            handled.append((argv, code))
+            if any(token.startswith("--p=-") for token in argv):
+                # a negative exponent is a domain error in every handler
+                assert code == 1, (argv, out)
 
-    check()
-    assert negative_exponents_handled
+    for argv, tree_text in EXAMPLES.get(command, ()):
+        check = example(argv, tree_text)(check)
+    SETTINGS(given(argvs(command), tree_texts())(check))()
+    assert handled, f"no {command} argv got past the parser to its handler"
+    if "--p" in SUBCOMMANDS[command]:
+        assert any(
+            code == 1 and any(token.startswith("--p=-") for token in argv)
+            for argv, code in handled
+        )

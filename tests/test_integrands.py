@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _helpers import random_tree
-from jetcalc import integrands, mc, simplex
+from _helpers import AVERAGING_TREE, per_path_integral, random_tree
+from jetcalc import integrands, mc
 from jetcalc.integrands import (
     MarkedSimplexProblem,
     MissingTwistError,
@@ -22,6 +23,8 @@ from jetcalc.integrands import (
 )
 from jetcalc.simplex import SimplexSpec
 from jetcalc.strat import (
+    ChildEdge,
+    InternalNode,
     Leaf,
     StratTree,
     assignment_max_brute,
@@ -279,20 +282,100 @@ def test_integrate_exact_computes_vertex_values_once_per_edge_form(monkeypatch):
     # nef_difference_tree(3, ...) has 6 distinct edge objects at 14 positions
     # on 8 paths; the F-edge form 2 t1 + 2 t2 is positive and the G-edge
     # form -3 t2 is negative, so both the sign analysis and the expectations run
+    # on one row of integer vertex values per distinct edge object
     prob = problem(nef_difference_tree(3, 2, 3), ("F", "L"), (1, 2))
     calls = []
-    original = simplex.vertex_values
+    original = integrands._vertex_rows
 
-    def spy(spec, form):
-        calls.append(form)
-        return original(spec, form)
+    def spy(prob, edges):
+        rows, common = original(prob, edges)
+        calls.append((edges, rows))
+        return rows, common
 
-    monkeypatch.setattr(integrands, "vertex_values", spy)
-    monkeypatch.setattr(simplex, "vertex_values", spy)
+    monkeypatch.setattr(integrands, "_vertex_rows", spy)
     for cap in range(4):
         calls.clear()
         integrate_exact(prob, cap)
-        assert len(calls) == 6
+        [(edges, rows)] = calls
+        assert len(rows) == 6
+        assert len({id(edge) for edge in edges}) == 6
+
+
+ORACLE_LABELS = ("A", "B", "X")
+
+
+@st.composite
+def marked_problems(draw):
+    """A problem and a cap in -1..n+1 for the per-path oracle.
+
+    The tree is drawn bottom up from one small pool of subtrees per depth,
+    so siblings share subtrees and edge objects; an internal node below the
+    root may have no children.  Label denominators are drawn from 1..6.  An
+    edge marks every label with one sign (zero forms included) or with
+    independent signs.  The r coordinates repeat A and B under weights
+    1..3, and the twist X comes with a rational scale or not at all.
+    """
+    n = draw(st.sampled_from((0, 1, 2, 2, 3, 3)))
+    bundles = tuple((label, draw(st.integers(1, 6))) for label in ORACLE_LABELS)
+
+    def markings():
+        sign = draw(st.sampled_from((1, -1, 0, None, None)))
+        if sign is None:
+            return {label: draw(st.integers(-3, 3)) for label in ORACLE_LABELS}
+        return {label: sign * draw(st.integers(0, 3)) for label in ORACLE_LABELS}
+
+    pool = [Leaf(degree=d) for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))]
+    for depth in reversed(range(n)):
+        pool = [
+            InternalNode(
+                children=tuple(
+                    ChildEdge(markings=markings(), child=draw(st.sampled_from(pool)))
+                    for _ in range(draw(st.integers(0 if depth else 1, 3)))
+                )
+            )
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+    tree = StratTree(dimension=n, bundles=bundles, root=draw(st.sampled_from(pool)))
+    r = draw(st.integers(1, 4))
+    twisted = draw(st.booleans())
+    prob = MarkedSimplexProblem(
+        tree=tree,
+        labels=tuple(draw(st.lists(st.sampled_from("AB"), min_size=r, max_size=r))),
+        simplex=SimplexSpec(draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))),
+        aux_label="X" if twisted else None,
+        aux_scale=draw(st.fractions(-2, 2, max_denominator=4)) if twisted else 1,
+    )
+    return prob, draw(st.integers(-1, n + 1))
+
+
+def _outcome(integral, prob, cap):
+    try:
+        return integral(prob, cap)
+    except MixedSignError:
+        return MixedSignError
+
+
+def test_integrate_exact_matches_per_path_oracle():
+    reached = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(marked_problems())
+    def check(case):
+        prob, cap = case
+        value = _outcome(integrate_exact, prob, cap)
+        assert value == _outcome(per_path_integral, prob, cap)
+        reached.add((cap < prob.tree.dimension, value is MixedSignError, prob.aux_label))
+
+    check()
+    # sign analysis that refuses and that passes, with and without a twist
+    assert {(True, True, None), (True, False, None), (True, True, "X"), (True, False, "X"),
+            (False, False, "X")} <= reached
+
+
+def test_integrate_exact_matches_per_path_oracle_on_the_averaging_twist():
+    problem = harmonic_twist(tree_from_dict(AVERAGING_TREE), ["L1", "L2"], "N", 16)
+    for cap in range(-1, 4):
+        assert integrate_exact(problem, cap) == per_path_integral(problem, cap)
 
 
 def test_integrate_mc_against_exact():
