@@ -291,6 +291,12 @@ def integrate_mc(
     Twist shifts are included whenever the problem carries a twist label.
     Deterministic for fixed (seed, samples) and independent of the worker
     count: sampling and evaluation are block-wise with merged tallies.
+
+    Path products are built level by level over the paths' prefixes in
+    pre-order: a path shares its parent prefix's product and negative-mark
+    count with the path before it, and each further edge multiplies in one
+    contiguous mark column, the left fold of a per-path product.  The path
+    terms are added in path order onto zeros.
     """
     edges, paths = _compile(prob.tree)
     forms = [prob.edge_form(edge, prob.aux_label is not None) for edge in edges]
@@ -298,14 +304,32 @@ def integrate_mc(
         [[float(c) for c in f.coeffs] for f in forms], dtype=float
     ).reshape(len(forms), prob.arity)
     constants = np.array([float(f.constant) for f in forms])
+    # (shared prefix length with the previous path, the path's columns, degree)
+    steps, previous = [], []
+    for cols, degree in paths:
+        shared = 0
+        while shared < min(len(cols), len(previous)) and cols[shared] == previous[shared]:
+            shared += 1
+        steps.append((shared, cols, degree))
+        previous = cols
+    count_type = np.min_scalar_type(prob.tree.dimension)
 
     def evaluate(t: np.ndarray) -> np.ndarray:
-        marks = t @ coeff_matrix.T + constants  # (block, E)
-        neg = marks < 0
+        marks = t @ coeff_matrix.T
+        marks += constants
+        marks = np.ascontiguousarray(marks.T)  # (E, rows): one column per edge
+        negative = marks < 0
         values = np.zeros(len(t))
-        for cols, degree in paths:
-            keep = neg[:, cols].sum(axis=1) <= max_index
-            values += np.where(keep, marks[:, cols].prod(axis=1) * degree, 0.0)
+        # products[d] and counts[d]: the current path's prefix of length d
+        products, counts = [np.ones(len(t))], [np.zeros(len(t), count_type)]
+        for shared, cols, degree in steps:
+            del products[shared + 1 :], counts[shared + 1 :]
+            for col in cols[shared:]:
+                products.append(products[-1] * marks[col])
+                counts.append(counts[-1] + negative[col])
+            # a dropped row adds nothing: values are never -0.0, so adding
+            # +0.0 there would not change them
+            np.add(values, products[-1] * degree, out=values, where=counts[-1] <= max_index)
         return values[:, None]
 
     total = mc._tally_statistics(prob.simplex, cfg, 1, evaluate)

@@ -11,6 +11,12 @@ b)).  Results are therefore bit-identical for identical (seed, samples)
 regardless of worker count; workers only split blocks, and per-block
 partial statistics (count, sum, sum of squares) are merged in block order.
 
+Statistics are row-wise and evaluated on row chunks of each block, so no
+block-sized statistic matrix is built.  A block's tally has the bits of
+numpy's reduction of its whole statistic matrix: pairwise for one column
+(gathered over the block and summed once), a fold in row order for wider
+matrices (continued from chunk to chunk).
+
 Experiments
 -----------
 Statistical cross-checks of the exact moment formulas of
@@ -55,6 +61,9 @@ from .simplex import (
 )
 
 BLOCK_SIZE = 1 << 16
+# Rows per chunk of statistic evaluation: sixteen chunks per block, and a
+# chunk's columns (32 KB each) stay in cache.
+_CHUNK_ROWS = 4096
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -123,10 +132,26 @@ class MomentTally:
         return cls(0, np.zeros(width), np.zeros(width))
 
     def absorb(self, values: np.ndarray) -> None:
-        """Add one (block, width) matrix of statistic values."""
-        self.count += values.shape[0]
-        self.sums += values.sum(axis=0)
-        self.sumsqs += (values * values).sum(axis=0)
+        """Add a (rows, width) matrix of statistic values.
+
+        numpy sums a row-major matrix of two or more columns as a fold over
+        its rows, which the running sums continue: the rows of one block,
+        absorbed chunk by chunk in row order, get the bits of the whole
+        block's ``values.sum(axis=0)``.  A single column numpy sums
+        pairwise, so a one-column block is absorbed whole.
+        """
+        self.count += len(values)
+        if self.sums.size == 1:
+            self.sums += values.sum(axis=0)
+            self.sumsqs += (values * values).sum(axis=0)
+            return
+        rows = np.empty((len(values) + 1, self.sums.size))
+        rows[0] = self.sums
+        rows[1:] = values
+        np.add.reduce(rows, axis=0, out=self.sums)
+        rows[0] = self.sumsqs
+        np.multiply(values, values, out=rows[1:])
+        np.add.reduce(rows, axis=0, out=self.sumsqs)
 
     def merge(self, other: "MomentTally") -> None:
         self.count += other.count
@@ -143,18 +168,48 @@ class MomentTally:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
+def _chunks(count: int) -> list[tuple[int, int]]:
+    """Row ranges cutting a block into count // _CHUNK_ROWS chunks of
+    near-equal size, or one chunk if it is shorter.
+
+    No chunk is shorter than _CHUNK_ROWS unless the block is: BLAS takes a
+    different kernel for a product of one or a few rows (one row is a
+    matrix-vector product), which changes the last bit of the projections.
+    """
+    parts = max(1, count // _CHUNK_ROWS)
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _tally_statistics(
     spec: SimplexSpec,
     cfg: MCConfig,
     width: int,
     stats_of_block: Callable[[np.ndarray], np.ndarray],
 ) -> MomentTally:
-    """Sample all blocks, evaluate a (block, width) statistic matrix on each,
-    and merge the tallies in block order."""
+    """Sample all blocks, evaluate a (rows, width) statistic matrix on row
+    chunks of each, and merge the tallies in block order.
+
+    The statistic must be row-wise: each output row depends on one sample
+    row alone (rows may be dropped).  Each block's tally has the bits of
+    :meth:`MomentTally.absorb` on the block's whole statistic matrix: a
+    single column is gathered over the block and summed once, wider
+    matrices are folded chunk by chunk.
+    """
 
     def job(b: int, n: int) -> MomentTally:
+        block = sample_block(spec, cfg.seed, b, n)
         tally = MomentTally.empty(width)
-        tally.absorb(stats_of_block(sample_block(spec, cfg.seed, b, n)))
+        chunks = (stats_of_block(block[lo:hi]) for lo, hi in _chunks(n))
+        if width > 1:
+            for values in chunks:
+                tally.absorb(values)
+            return tally
+        column, filled = np.empty((n, 1)), 0
+        for values in chunks:
+            column[filled : filled + len(values)] = values
+            filled += len(values)
+        tally.absorb(column[:filled])
         return tally
 
     total = MomentTally.empty(width)
@@ -241,12 +296,12 @@ def dirichlet_density_check(k: int, r: int, cfg: MCConfig) -> dict:
         e = [0] * k
         e[j] = 1
         exponents.append(tuple(e))
-    for j in range(k):
-        for l in range(j, k):
-            e = [0] * k
-            e[j] += 1
-            e[l] += 1
-            exponents.append(tuple(e))
+    pairs = [(j, l) for j in range(k) for l in range(j, k)]
+    for j, l in pairs:
+        e = [0] * k
+        e[j] += 1
+        e[l] += 1
+        exponents.append(tuple(e))
     exacts = [
         constant * monomial_moment(unit, tuple(qi + r - 1 for qi in q))
         for q in exponents
@@ -257,13 +312,13 @@ def dirichlet_density_check(k: int, r: int, cfg: MCConfig) -> dict:
         # squared with an array exponent, the power loop of yprime**q (a
         # broadcast scalar 2 takes numpy's exact-square path, which rounds
         # differently); the other factors of the product are 1 and exact
-        squares = yprime ** np.full(k, 2.0)
-        columns = []
-        for q in exponents:
-            # |q| <= 2, so the nonzero exponents are (1,), (1, 1) or (2,)
-            factors = [yprime[:, j] if e == 1 else squares[:, j] for j, e in enumerate(q) if e]
-            columns.append(factors[0] if len(factors) == 1 else factors[0] * factors[1])
-        return np.column_stack(columns)
+        squares = (yprime ** np.full(k, 2.0)).T.copy()
+        y = yprime.T.copy()
+        out = np.empty((len(yprime), len(exponents)))
+        out[:, :k] = yprime
+        for col, (j, l) in enumerate(pairs, k):
+            out[:, col] = squares[j] if j == l else y[j] * y[l]
+        return out
 
     tally = _tally_statistics(spec, cfg, len(exponents), stats)
     means, errs = tally.mean(), tally.stderr()
@@ -318,9 +373,12 @@ def negative_correlation_check(k: int, r: int, cfg: MCConfig) -> dict:
     # statistics: all Y_j means, then all pair products
     def stats(block: np.ndarray) -> np.ndarray:
         y = block.reshape(-1, k, r).sum(axis=2)
-        cols = [y[:, j - 1] for j in range(1, k + 1)]
-        cols += [y[:, j - 1] * y[:, l - 1] for j, l in pairs]
-        return np.column_stack(cols)
+        columns = y.T.copy()
+        out = np.empty((len(y), k + len(pairs)))
+        out[:, :k] = y
+        for col, (j, l) in enumerate(pairs, k):
+            out[:, col] = columns[j - 1] * columns[l - 1]
+        return out
 
     tally = _tally_statistics(spec, cfg, k + len(pairs), stats)
     means, errs = tally.mean(), tally.stderr()

@@ -7,16 +7,22 @@ composition power sums by enumeration (the oracle for the
 generating-function convolution), cofactor determinants and Cramer's rule
 (the oracle for the exact elimination in ``lattice``), the term-by-term
 ``Fraction`` product of graded polynomials (the oracle for the
-integer-numerator product) and a parser of rendered polynomial text (the
-oracle for ``render``)."""
+integer-numerator product), a parser of rendered polynomial text (the
+oracle for ``render``), the whole-block Monte-Carlo tally (the oracle for
+the chunked tally of ``mc._tally_statistics``) and the per-path
+Monte-Carlo index sum (the oracle for the level-wise path products of
+``integrate_mc``)."""
 
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
+import numpy as np
+
+from jetcalc import integrands, mc
 from jetcalc.integrands import MarkedSimplexProblem, MixedSignError
 from jetcalc.lattice import enumerate_compositions
 from jetcalc.ring import GradedPoly
@@ -275,6 +281,55 @@ def per_path_integral(prob: MarkedSimplexProblem, max_index: int) -> Fraction:
                 spec, [forms[id(edge)] for edge in edges]
             )
     return total
+
+
+def whole_block_tally(
+    spec: SimplexSpec,
+    cfg: mc.MCConfig,
+    width: int,
+    stats_of_block: Callable[[np.ndarray], np.ndarray],
+) -> mc.MomentTally:
+    """The tally of a run with each block's statistic matrix reduced whole.
+
+    Each block of samples gets ``stats_of_block`` once, its sums and sums
+    of squares are numpy's ``sum(axis=0)`` of the full matrix added onto
+    zeros, and the blocks are merged in block order.
+    """
+    total = mc.MomentTally(0, np.zeros(width), np.zeros(width))
+    for b, n in enumerate(mc.block_sizes(cfg.samples)):
+        values = stats_of_block(mc.sample_block(spec, cfg.seed, b, n))
+        sums, sumsqs = np.zeros(width), np.zeros(width)
+        sums += values.sum(axis=0)
+        sumsqs += (values * values).sum(axis=0)
+        total.count += values.shape[0]
+        total.sums += sums
+        total.sumsqs += sumsqs
+    return total
+
+
+def per_path_mc_values(
+    prob: MarkedSimplexProblem, max_index: int, t: np.ndarray
+) -> np.ndarray:
+    """The index sum at the sample rows t, as a (rows, 1) matrix, path by path.
+
+    The edge marks are the block's projection onto the edge forms; each
+    path counts its negative marks, multiplies its marks along the path and
+    adds the product times its leaf degree where the count is at most
+    ``max_index``.
+    """
+    edges, paths = integrands._compile(prob.tree)
+    forms = [prob.edge_form(edge, prob.aux_label is not None) for edge in edges]
+    coeff_matrix = np.array(
+        [[float(c) for c in f.coeffs] for f in forms], dtype=float
+    ).reshape(len(forms), prob.arity)
+    constants = np.array([float(f.constant) for f in forms])
+    marks = t @ coeff_matrix.T + constants
+    neg = marks < 0
+    values = np.zeros(len(t))
+    for cols, degree in paths:
+        keep = neg[:, cols].sum(axis=1) <= max_index
+        values += np.where(keep, marks[:, cols].prod(axis=1) * degree, 0.0)
+    return values[:, None]
 
 
 def enumerated_power_sum(

@@ -51,6 +51,46 @@ def test_golden_graded_poly_outputs(capsys, invocation):
     assert code == 0 and out == expected[invocation]
 
 
+# Sample counts: one sample, part of a block, two whole blocks, and two whole
+# blocks plus a partial one.
+MC_SAMPLE_COUNTS = (1, 1000, 1 << 17, (1 << 17) + 12345)
+MC_TREES = {
+    "SIGN_TREE": str(GOLDEN / "sign_changing_tree.json"),
+    "TRIV_TREE": str(GOLDEN / "trivialized_tree.json"),
+}
+MC_GOLDENS = [
+    f"upsilon-integrate --tree SIGN_TREE --labels A,B --a 1,2 --upto {cap}{aux}"
+    f" --mc --samples {n} --workers {w}"
+    for cap in range(-1, 4)
+    for aux in ("", " --aux X --aux-scale 1/2")
+    for n in MC_SAMPLE_COUNTS
+    for w in (1, 2)
+] + [
+    f"jet-bound --tree SIGN_TREE --labels A,B --aux X --k {k} --mc --json --samples {n} --workers 2"
+    for k in (1, 3)
+    for n in (1000, (1 << 17) + 12345)
+] + [
+    f"mc-experiment --name {name} --k {k} --r {r} --samples {n} --workers 2"
+    for name, ks in (("dirichlet-density", (1, 6)), ("negative-correlation", (2, 8)))
+    for k in ks
+    for r in (2, 3, 8, 9)
+    for n in (1000, (1 << 17) + 12345)
+] + [
+    "mc-experiment --name averaging --tree TRIV_TREE --labels L1,L2 --aux N --whole E"
+    f" --upto 1 --k-values 2,4 --samples {n} --workers 2"
+    for n in (1000, (1 << 17) + 12345)
+]
+
+
+@pytest.mark.parametrize("invocation", MC_GOLDENS)
+def test_golden_mc_outputs(capsys, invocation):
+    """Byte-exact stdout of Monte-Carlo commands: the bits of the sampled
+    statistics and of their block tallies under the determinism contract."""
+    expected = json.loads((GOLDEN / "expected_outputs.json").read_text())
+    code, out, _ = run(capsys, *(MC_TREES.get(a, a) for a in invocation.split()))
+    assert code == 0 and out == expected[invocation]
+
+
 def test_gg_coeff_k2(capsys):
     code, out, _ = run(capsys, "gg-coeff", "--k", "2")
     assert code == 0

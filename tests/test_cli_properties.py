@@ -8,9 +8,12 @@ does not move what another's property reaches.  A pair of flags that
 argparse makes mutually exclusive is drawn as one choice: neither, one,
 the other or both.  Every run must end in exit code 0, 1 or 2; any other
 exception escaping ``main`` is a traceback the user would see.  Every
-handler must be reached by some argv that the parser accepts.  Exponent
-vectors (``--p``) may hold negative entries, which every handler must
-refuse with exit 1.  Values stay small so that every run is quick: at
+handler must be reached by some argv that the parser accepts, and must
+exit 0 on some argv: a third of the argvs are coherent, with every value in
+its flag's domain, labels drawn from the tree file's bundles and list
+lengths that agree (``--a`` with ``--labels``, ``--p`` with ``--a``).
+Exponent vectors (``--p``) may hold negative entries, which every handler
+must refuse with exit 1.  Values stay small so that every run is quick: at
 most 1024 samples and one or two workers.
 """
 
@@ -143,33 +146,123 @@ SUBCOMMANDS = {
 }
 
 
+def _list_like(flag, lo, hi):
+    """Entries in lo..hi, one per entry of an earlier flag's value."""
+    return lambda labels, drawn: st.lists(
+        st.integers(lo, hi), min_size=len(drawn[flag].split(",")),
+        max_size=len(drawn[flag].split(",")),
+    ).map(lambda xs: ",".join(map(str, xs)))
+
+
+def _tree_label(labels, drawn):
+    return st.sampled_from(labels)
+
+
+def _tree_labels(labels, drawn):
+    return st.lists(st.sampled_from(labels), min_size=1, max_size=3).map(",".join)
+
+
+# What a coherent argv draws instead of SUBCOMMANDS' values: strategies, or
+# functions of the tree file's labels and of the values drawn so far that
+# return one.  A flag not listed keeps its values.
+COHERENT_MC_FLAGS = {
+    "--samples": _text(st.integers(1, 1024)),
+    "--workers": st.sampled_from(["1", "2"]),
+}
+COHERENT = {
+    "gg-coeff": {"--k": _text(st.integers(1, 6))},
+    "jet-rank": {
+        "--n": _text(st.integers(0, 4)),
+        "--k": _text(st.integers(0, 4)),
+        "--m": _text(st.integers(0, 12)),
+    },
+    "whitney": {
+        "--weights": _int_list(1, 4, 3),
+        "--ranks": _list_like("--weights", 1, 3),
+        "--bound": _text(st.integers(0, 4)),
+    },
+    "chi-leading": {
+        "--weights": _int_list(1, 4, 4),
+        "--n": _text(st.integers(0, 4)),
+        "--m": _text(st.integers(0, 12)),
+    },
+    "simplex-moment": {
+        "--a": _int_list(1, 4, 4),
+        "--p": _list_like("--a", 0, 3),
+    },
+    "simplex-volume": {"--a": _int_list(1, 4, 4)},
+    "lattice-sum": {
+        "--a": _int_list(1, 4, 4),
+        "--p": _list_like("--a", 0, 3),
+        "--m": _text(st.integers(0, 12)),
+    },
+    "strat-degree": {"--label": _tree_label},
+    "strat-cmax": {"--labels": _tree_labels},
+    "upsilon-integrate": {
+        "--labels": _tree_labels,
+        "--a": _list_like("--labels", 1, 3),
+        "--aux": _tree_label,
+        **COHERENT_MC_FLAGS,
+    },
+    "jet-bound": {
+        "--labels": _tree_labels,
+        "--aux": _tree_label,
+        "--k": _text(st.integers(1, 3)),
+        **COHERENT_MC_FLAGS,
+    },
+    "mc-experiment": {
+        "--name": st.sampled_from(
+            ["dirichlet-density", "negative-correlation", "variance-bound"]
+        ),
+        "--k": _text(st.integers(2, 4)),
+        "--r": _text(st.integers(1, 3)),
+        "--d": lambda labels, drawn: st.lists(
+            st.sampled_from(["1", "-2", "1/3", "0"]),
+            min_size=int(drawn["--r"]), max_size=int(drawn["--r"]),
+        ).map(",".join),
+        **COHERENT_MC_FLAGS,
+    },
+}
+
+
 @st.composite
-def argvs(draw, command):
+def argvs(draw, command, mode, labels):
     """The subcommand; each of its flags left out, malformed or valid.
 
-    Half the argvs are clean, with no malformed value, so that runs get
-    past the parser as often as they stop in it.
+    A noisy argv leaves flags out or malformed and may carry a stray
+    token; a clean one has no malformed value; a coherent one gives every
+    flag a value, exactly one of each exclusive pair, and draws from
+    COHERENT where it lists the flag, with ``labels`` the tree file's.
     """
-    noisy = draw(st.booleans())
+    noisy = mode == "noisy"
+    coherent = COHERENT.get(command, {}) if mode == "coherent" else None
     ways = ("valid", "valid", "omit", "malformed") if noisy else ("valid",) * 9 + ("omit",)
     argv = [command]
+    drawn = {}
 
     def add(flag, values):
         if values is FLAG:
             argv.append(flag)
             return
-        how = draw(st.sampled_from(ways))
+        how = "valid" if coherent is not None else draw(st.sampled_from(ways))
         if how == "malformed":
             argv.extend([flag, draw(MALFORMED)])
         elif how == "valid":
-            value = draw(values)
+            if coherent is not None and flag in coherent:
+                values = coherent[flag]
+                if callable(values):
+                    values = values(labels, drawn)
+            value = drawn[flag] = draw(values)
             # argparse reads "--p -1,0" as a flag missing its value
             argv.extend([f"{flag}={value}"] if value.startswith("-") else [flag, value])
 
     for flag, values in SUBCOMMANDS[command].items():
         if isinstance(flag, tuple):
-            for i in draw(st.sampled_from(EXCLUSIVE_CHOICES)):
+            choices = EXCLUSIVE_CHOICES[1:3] if coherent is not None else EXCLUSIVE_CHOICES
+            for i in draw(st.sampled_from(choices)):
                 add(flag[i], values[i])
+        elif flag == "--tree" and coherent is not None:
+            argv.extend([flag, "TREE"])
         elif values is not FLAG or draw(st.booleans()):
             add(flag, values)
     if noisy and draw(st.booleans()):
@@ -220,14 +313,16 @@ WRONG = st.sampled_from([None, "1", 1.5, True, [], {}, -1, 0, 10**30])
 
 
 @st.composite
-def tree_texts(draw):
-    """The text of a tree file: valid, or broken in one of several ways."""
-    how = draw(
-        st.sampled_from(("valid",) * 4 + ("replace", "delete", "depth", "unknown", "text"))
-    )
+def tree_texts(draw, valid):
+    """The text of a tree file, valid or (unless ``valid``) broken in one of
+    several ways, and the labels of the tree it was made from."""
+    ways = ("valid",) * 4 + ("replace", "delete", "depth", "unknown", "text")
+    how = "valid" if valid else draw(st.sampled_from(ways))
     if how == "text":
-        return draw(st.sampled_from(["", "{not json", "[]", "3", "null", '"tree"', "{}"]))
+        text = draw(st.sampled_from(["", "{not json", "[]", "3", "null", '"tree"', "{}"]))
+        return text, []
     tree = draw(valid_trees())
+    labels = [bundle["label"] for bundle in tree["bundles"]]
     containers = list(_objects(tree))
     target = draw(st.sampled_from(containers))
     if how == "replace" and target:
@@ -245,7 +340,16 @@ def tree_texts(draw):
                     if isinstance(obj, dict) and "markings" in obj]
         if markings:
             draw(st.sampled_from(markings))["X"] = 1
-    return json.dumps(tree)
+    return json.dumps(tree), labels
+
+
+@st.composite
+def cases(draw, command):
+    """An argv of the subcommand and the text of its tree file: noisy,
+    clean or coherent, the last with a valid tree file."""
+    mode = draw(st.sampled_from(("noisy", "clean", "coherent")))
+    text, labels = draw(tree_texts(valid=mode == "coherent"))
+    return draw(argvs(command, mode, labels)), text
 
 
 AVERAGING_TREE = json.dumps(
@@ -287,7 +391,8 @@ def _run(argv, tree_text):
 def test_every_argv_exits_0_1_or_2(command):
     handled = []  # (argv, exit code) of every run that entered the handler
 
-    def check(argv, tree_text):
+    def check(case):
+        argv, tree_text = case
         code, out, err, entered = _run(argv, tree_text)
         assert code in (0, 1, 2), (argv, err)
         if code == 0:
@@ -300,10 +405,11 @@ def test_every_argv_exits_0_1_or_2(command):
                 # a negative exponent is a domain error in every handler
                 assert code == 1, (argv, out)
 
-    for argv, tree_text in EXAMPLES.get(command, ()):
-        check = example(argv, tree_text)(check)
-    SETTINGS(given(argvs(command), tree_texts())(check))()
+    for case in EXAMPLES.get(command, ()):
+        check = example(case)(check)
+    SETTINGS(given(cases(command))(check))()
     assert handled, f"no {command} argv got past the parser to its handler"
+    assert any(code == 0 for _, code in handled), f"no {command} argv exited 0"
     if "--p" in SUBCOMMANDS[command]:
         assert any(
             code == 1 and any(token.startswith("--p=-") for token in argv)

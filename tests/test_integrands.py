@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import AVERAGING_TREE, per_path_integral, random_tree
+from _helpers import (
+    AVERAGING_TREE,
+    per_path_integral,
+    per_path_mc_values,
+    random_tree,
+    whole_block_tally,
+)
 from jetcalc import integrands, mc
 from jetcalc.integrands import (
     MarkedSimplexProblem,
@@ -376,6 +384,101 @@ def test_integrate_exact_matches_per_path_oracle_on_the_averaging_twist():
     problem = harmonic_twist(tree_from_dict(AVERAGING_TREE), ["L1", "L2"], "N", 16)
     for cap in range(-1, 4):
         assert integrate_exact(problem, cap) == per_path_integral(problem, cap)
+
+
+def _mc_bits(prob, cap, cfg):
+    """integrate_mc's pair, and its statistic on the chunks of each block,
+    against the per-path oracle's pair from whole-block tallies and its
+    values on whole blocks, as bytes (signed zeros count)."""
+    captured = []
+    tally = mc._tally_statistics
+
+    def spy(spec, cfg, width, stats):
+        captured.append(stats)
+        return tally(spec, cfg, width, stats)
+
+    with mock.patch.object(mc, "_tally_statistics", spy):
+        got = integrate_mc(prob, cap, cfg)
+    [evaluate] = captured
+    want = whole_block_tally(prob.simplex, cfg, 1, lambda t: per_path_mc_values(prob, cap, t))
+    pair = (float(want.mean()[0]), float(want.stderr()[0]))
+    assert np.array(got).tobytes() == np.array(pair).tobytes()
+    for b, n in enumerate(mc.block_sizes(cfg.samples)):
+        block = mc.sample_block(prob.simplex, cfg.seed, b, n)
+        rows = np.concatenate([evaluate(block[lo:hi]) for lo, hi in mc._chunks(n)])
+        assert rows.tobytes() == per_path_mc_values(prob, cap, block).tobytes()
+    return got
+
+
+def _edge(a, b, x, child):
+    return ChildEdge(markings={"A": a, "B": b, "X": x}, child=child)
+
+
+_ABX = (("A", 1), ("B", 2), ("X", 1))
+_SHARED = InternalNode((_edge(1, -2, 1, Leaf(2)), _edge(-1, 3, 0, Leaf(1))))
+_TWICE = _edge(2, -1, 1, Leaf(1))
+MC_EDGE_CASE_TREES = {
+    "shared-subtrees": StratTree(2, _ABX, InternalNode((
+        _edge(3, -1, 0, _SHARED), _edge(-2, 1, 1, _SHARED), _edge(1, 1, -1, _SHARED),
+    ))),
+    # the childless node's edge keeps its column in the projection
+    "childless-internal-node": StratTree(2, _ABX, InternalNode((
+        _edge(1, -1, 2, InternalNode(())), _edge(-1, 2, 1, _SHARED),
+        _edge(2, 2, -3, InternalNode(())),
+    ))),
+    "same-edge-twice": StratTree(2, _ABX, InternalNode((
+        _edge(1, -1, 1, InternalNode((_TWICE, _edge(-3, 1, 2, Leaf(3)), _TWICE))),
+        _edge(-1, 1, 0, InternalNode((_TWICE,))),
+    ))),
+    "deep-chain": StratTree(4, _ABX, InternalNode((
+        _edge(1, -1, 1, InternalNode((
+            _edge(-2, 1, 0, InternalNode((_edge(1, 1, -2, _SHARED), _edge(2, -1, 1, _SHARED)))),
+        ))),
+        _edge(-1, 2, 1, InternalNode((_edge(1, -3, 1, InternalNode((_edge(1, 2, 1, _SHARED),))),))),
+    ))),
+}
+
+
+@pytest.mark.parametrize("twist", [None, "X"])
+@pytest.mark.parametrize("name", sorted(MC_EDGE_CASE_TREES))
+def test_integrate_mc_path_products_match_per_path_oracle(name, twist):
+    tree = MC_EDGE_CASE_TREES[name]
+    prob = MarkedSimplexProblem(
+        tree=tree, labels=("A", "B"), simplex=SimplexSpec((1, 2)), aux_label=twist,
+        aux_scale=Fraction(1, 2),
+    )
+    for cap in range(-1, tree.dimension + 2):
+        for samples in (1000, mc.BLOCK_SIZE + mc._CHUNK_ROWS + 1):
+            _mc_bits(prob, cap, mc.MCConfig(seed=3 + cap, samples=samples, workers=2))
+
+
+def test_integrate_mc_without_paths_and_in_dimension_zero():
+    cfg = mc.MCConfig(seed=8, samples=5000)
+    pathless = [
+        StratTree(2, _ABX, InternalNode((_edge(1, -1, 0, InternalNode(())),))),
+        StratTree(1, _ABX, InternalNode(())),
+    ]
+    for tree in pathless:
+        prob = MarkedSimplexProblem(tree=tree, labels=("A", "B"), simplex=SimplexSpec((1, 2)))
+        for cap in range(-1, tree.dimension + 2):
+            assert _mc_bits(prob, cap, cfg) == (0.0, 0.0)
+    # the root is a leaf of degree 3: the empty product counts at every cap >= 0
+    point = MarkedSimplexProblem(
+        tree=StratTree(0, _ABX, Leaf(3)), labels=("A", "B"), simplex=SimplexSpec((1, 2))
+    )
+    assert _mc_bits(point, -1, cfg) == (0.0, 0.0)
+    for cap in (0, 1):
+        assert _mc_bits(point, cap, cfg) == (3.0, 0.0)
+
+
+def test_integrate_mc_matches_per_path_oracle():
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(marked_problems(), st.sampled_from((1, 1000, mc._CHUNK_ROWS + 1)))
+    def check(case, samples):
+        prob, cap = case
+        _mc_bits(prob, cap, mc.MCConfig(seed=samples + cap, samples=samples))
+
+    check()
 
 
 def test_integrate_mc_against_exact():

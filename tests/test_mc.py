@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from _helpers import whole_block_tally
 from jetcalc import integrands, mc
 from jetcalc.simplex import (
     AffineForm,
@@ -61,6 +63,69 @@ def test_uniform_weights_mean_is_one_over_r():
     spec = SimplexSpec((1, 1, 1, 1))
     tally = mc._tally_statistics(spec, CFG, 4, lambda b: b)
     assert np.allclose(tally.mean(), 0.25, atol=4 * tally.stderr().max())
+
+
+def _projection_statistic(width: int, drop: bool):
+    """A row-wise statistic of mixed signs and magnitudes on 3 coordinates;
+    with ``drop``, rows whose first coordinate exceeds 0.4 are left out."""
+    rng = np.random.default_rng(width)
+    # transposed, as integrate_mc projects: BLAS takes a different kernel
+    # for a one-row product, so a one-row chunk would change the bits
+    matrix = rng.standard_normal((width, 3)) * 10.0 ** rng.integers(-3, 4, (width, 1))
+
+    def stats(block):
+        values = block @ matrix.T - 0.25
+        return values[block[:, 0] <= 0.4] if drop else values
+
+    return stats
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["all-rows", "dropping"])
+@pytest.mark.parametrize("width", [1, 2, 36])
+@pytest.mark.parametrize(
+    "samples",
+    # below one chunk, one chunk, at chunk boundaries, a one-row tail past a
+    # chunk boundary in a partial last block, a longer partial last block
+    [
+        1000,
+        mc._CHUNK_ROWS,
+        3 * mc._CHUNK_ROWS,
+        mc.BLOCK_SIZE + mc._CHUNK_ROWS + 1,
+        2 * mc.BLOCK_SIZE + 12345,
+    ],
+)
+def test_chunked_tally_equals_whole_block_tally(samples, width, drop):
+    spec = SimplexSpec((1, 2, 3))
+    stats = _projection_statistic(width, drop)
+    for workers in (1, 2):
+        cfg = mc.MCConfig(seed=99, samples=samples, workers=workers)
+        want = whole_block_tally(spec, cfg, width, stats)
+        with mock.patch.object(mc, "sample_block", wraps=mc.sample_block) as spy:
+            got = mc._tally_statistics(spec, cfg, width, stats)
+        # sampled once per block, as many rows as the blocks hold
+        assert spy.call_count == len(mc.block_sizes(samples))
+        assert sum(call.args[3] for call in spy.call_args_list) == samples
+        assert got.count == want.count
+        assert got.sums.tobytes() == want.sums.tobytes()
+        assert got.sumsqs.tobytes() == want.sumsqs.tobytes()
+    # the chunks' rows, in order, are the whole blocks' rows bit for bit (a
+    # last-bit change in a few rows may not reach the sums)
+    rows = []
+    serial = mc.MCConfig(seed=99, samples=samples)
+    mc._tally_statistics(spec, serial, width, lambda chunk: rows.append(stats(chunk)) or rows[-1])
+    whole = [stats(mc.sample_block(spec, 99, b, n)) for b, n in enumerate(mc.block_sizes(samples))]
+    assert np.concatenate(rows).tobytes() == np.concatenate(whole).tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("base", [1, 2, 3, 7])
+def test_chunks_tile_a_block_with_no_short_chunk(base, extra):
+    count = base * mc._CHUNK_ROWS + extra
+    chunks = mc._chunks(count)
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+    assert chunks[-1][1] == count
+    assert min(hi - lo for lo, hi in chunks) >= min(count, mc._CHUNK_ROWS)
+    assert max(hi - lo for lo, hi in chunks) < max(count + 1, 2 * mc._CHUNK_ROWS)
 
 
 def test_jets_decomposition_block_sums():
