@@ -292,44 +292,63 @@ def integrate_mc(
     Deterministic for fixed (seed, samples) and independent of the worker
     count: sampling and evaluation are block-wise with merged tallies.
 
-    Path products are built level by level over the paths' prefixes in
-    pre-order: a path shares its parent prefix's product and negative-mark
-    count with the path before it, and each further edge multiplies in one
-    contiguous mark column, the left fold of a per-path product.  The path
-    terms are added in path order onto zeros.
+    The edge marks of a chunk are the row-major product ``t @ C.T``,
+    transposed into one contiguous row of marks per edge.  The edge-major
+    product ``C @ t.T`` would skip the transpose, but OpenBLAS rounds the
+    last few rows of a chunk differently there, so it is not used.  Path
+    products are built level by level over the paths' prefixes in
+    pre-order: a path shares its parent prefix's product with the path
+    before it, each further edge multiplies in one mark row, the left fold
+    of a per-path product, and a path's first product is its first mark row
+    (1.0 * x is x).  The path terms, each product times its leaf degree (no
+    multiply for degree 1), are added in path order onto zeros.  Only where
+    the cap can cut (0 <= cap < n) are negative marks tracked, as the cap
+    less the negative marks of each shared prefix short of the last edge: a
+    path counts when that budget covers its last edge's own negative mark.
+    At cap >= n every path counts, below 0 none does.
     """
     edges, paths = _compile(prob.tree)
     forms = [prob.edge_form(edge, prob.aux_label is not None) for edge in edges]
     coeff_matrix = np.array(
         [[float(c) for c in f.coeffs] for f in forms], dtype=float
     ).reshape(len(forms), prob.arity)
-    constants = np.array([float(f.constant) for f in forms])
+    constants = np.array([float(f.constant) for f in forms])[:, None]
     # (shared prefix length with the previous path, the path's columns, degree)
     steps, previous = [], []
-    for cols, degree in paths:
+    for cols, degree in paths if max_index >= 0 else []:
         shared = 0
         while shared < min(len(cols), len(previous)) and cols[shared] == previous[shared]:
             shared += 1
         steps.append((shared, cols, degree))
         previous = cols
-    count_type = np.min_scalar_type(prob.tree.dimension)
+    cuts = 0 <= max_index < prob.tree.dimension
+    budget_type = np.min_scalar_type(-prob.tree.dimension)
 
     def evaluate(t: np.ndarray) -> np.ndarray:
-        marks = t @ coeff_matrix.T
-        marks += constants
-        marks = np.ascontiguousarray(marks.T)  # (E, rows): one column per edge
-        negative = marks < 0
+        # (E, rows): one contiguous row of marks per edge, the constants
+        # added in the transposing pass
+        marks = np.add((t @ coeff_matrix.T).T, constants, order="C")
         values = np.zeros(len(t))
-        # products[d] and counts[d]: the current path's prefix of length d
-        products, counts = [np.ones(len(t))], [np.zeros(len(t), count_type)]
+        # products[d]: the current path's prefix of length d; budgets[d]: the
+        # cap less the negative marks of that prefix, for d below n
+        products = [1.0]
+        if cuts:
+            negative = marks < 0
+            budgets = [budget_type.type(max_index)]
         for shared, cols, degree in steps:
-            del products[shared + 1 :], counts[shared + 1 :]
+            del products[shared + 1 :]
             for col in cols[shared:]:
-                products.append(products[-1] * marks[col])
-                counts.append(counts[-1] + negative[col])
+                products.append(products[-1] * marks[col] if len(products) > 1 else marks[col])
+            term = products[-1] if degree == 1 else products[-1] * degree
+            if not cuts:
+                values += term
+                continue
+            del budgets[shared + 1 :]
+            for col in cols[shared:-1]:
+                budgets.append(budgets[-1] - negative[col])
             # a dropped row adds nothing: values are never -0.0, so adding
             # +0.0 there would not change them
-            np.add(values, products[-1] * degree, out=values, where=counts[-1] <= max_index)
+            np.add(values, term, out=values, where=budgets[-1] >= negative[cols[-1]])
         return values[:, None]
 
     total = mc._tally_statistics(prob.simplex, cfg, 1, evaluate)

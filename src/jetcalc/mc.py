@@ -15,7 +15,11 @@ Statistics are row-wise and evaluated on row chunks of each block, so no
 block-sized statistic matrix is built.  A block's tally has the bits of
 numpy's reduction of its whole statistic matrix: pairwise for one column
 (gathered over the block and summed once), a fold in row order for wider
-matrices (continued from chunk to chunk).
+matrices (continued from chunk to chunk).  Short row sums, the sample
+rows' normalizing sums and the experiments' block sums, keep numpy's order
+too (:func:`_group_sums`): a left fold from +0.0 below 8 terms, numpy's
+own pairwise sum from 8 on.  :func:`jetcalc.integrands.integrate_mc` takes
+its edge marks from one row-major BLAS product per chunk.
 
 Experiments
 -----------
@@ -99,8 +103,26 @@ def sample_block(spec: SimplexSpec, seed: int, block_index: int, count: int) -> 
     """One (count, r) block of uniform points of D_a."""
     rng = block_rng(seed, block_index)
     points = rng.standard_exponential((count, spec.arity))
-    np.divide(points, points.sum(axis=1, keepdims=True), out=points)
+    np.divide(points, _group_sums(points, 1, spec.arity), out=points)
     return np.divide(points, np.asarray(spec.weights, dtype=float), out=points)
+
+
+def _group_sums(x: np.ndarray, k: int, r: int) -> np.ndarray:
+    """The (rows, k) sums of consecutive groups of r columns, with the bits
+    of ``x.reshape(-1, k, r).sum(axis=2)``.
+
+    numpy reduces each short group in its own call.  Below 8 elements its
+    pairwise sum is a left fold from +0.0, done here a whole strided column
+    at a time; from 8 on it keeps several accumulators (and recurses above
+    128), so wider groups are left to numpy.
+    """
+    groups = x.reshape(-1, k, r)
+    if r >= 8:
+        return groups.sum(axis=2)
+    sums = np.zeros(groups.shape[:2])
+    for l in range(r):
+        sums += groups[:, :, l]
+    return sums
 
 
 def map_blocks(
@@ -231,7 +253,7 @@ def block_weights(k: int, r: int) -> SimplexSpec:
 def _yprime(samples: np.ndarray, k: int, r: int) -> np.ndarray:
     """Y'_j = j * Y_j with Y_j = sum_l X_{j,l}; rows with a zero block sum
     (a measure-zero event) are dropped."""
-    y = np.asarray(samples, dtype=float).reshape(-1, k, r).sum(axis=2)
+    y = _group_sums(np.asarray(samples, dtype=float), k, r)
     return y[(y != 0).all(axis=1)] * np.arange(1, k + 1)
 
 
@@ -246,7 +268,7 @@ def jets_decomposition(
     with a zero block sum (a measure-zero event) are dropped.
     """
     x = np.asarray(samples, dtype=float).reshape(-1, k, r)
-    y = x.sum(axis=2)
+    y = _group_sums(x, k, r)
     keep = (y != 0).all(axis=1)
     return _yprime(samples, k, r), x[keep] / y[keep][:, :, None]
 
@@ -372,7 +394,7 @@ def negative_correlation_check(k: int, r: int, cfg: MCConfig) -> dict:
 
     # statistics: all Y_j means, then all pair products
     def stats(block: np.ndarray) -> np.ndarray:
-        y = block.reshape(-1, k, r).sum(axis=2)
+        y = _group_sums(block, k, r)
         columns = y.T.copy()
         out = np.empty((len(y), k + len(pairs)))
         out[:, :k] = y

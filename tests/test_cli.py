@@ -67,7 +67,7 @@ MC_GOLDENS = [
     for w in (1, 2)
 ] + [
     f"jet-bound --tree SIGN_TREE --labels A,B --aux X --k {k} --mc --json --samples {n} --workers 2"
-    for k in (1, 3)
+    for k in (1, 3, 8, 16)
     for n in (1000, (1 << 17) + 12345)
 ] + [
     f"mc-experiment --name {name} --k {k} --r {r} --samples {n} --workers 2"

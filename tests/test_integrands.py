@@ -344,7 +344,7 @@ def marked_problems(draw):
             for _ in range(draw(st.integers(1, 2)))
         ]
     tree = StratTree(dimension=n, bundles=bundles, root=draw(st.sampled_from(pool)))
-    r = draw(st.integers(1, 4))
+    r = draw(st.sampled_from((1, 2, 3, 4, 8, 16, 32)))
     twisted = draw(st.booleans())
     prob = MarkedSimplexProblem(
         tree=tree,
@@ -452,6 +452,32 @@ def test_integrate_mc_path_products_match_per_path_oracle(name, twist):
             _mc_bits(prob, cap, mc.MCConfig(seed=3 + cap, samples=samples, workers=2))
 
 
+@pytest.mark.parametrize("r", [2, 6, 16])
+@pytest.mark.parametrize("widths", [(3, 3), (13,)])
+def test_integrate_mc_marks_keep_the_oracle_bits_in_chunk_tails(widths, r):
+    # twelve or more edges, and chunks whose row count is not a multiple of
+    # 8: the edge-major product C @ t.T rounds such a chunk's last rows
+    # differently from the oracle's t @ C.T
+    rng = random.Random(100 * len(widths) + r)
+
+    def build(depth):
+        if depth == len(widths):
+            return Leaf(rng.randint(1, 3))
+        return InternalNode(tuple(
+            _edge(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-2, 2), build(depth + 1))
+            for _ in range(widths[depth])
+        ))
+
+    prob = MarkedSimplexProblem(
+        tree=StratTree(len(widths), _ABX, build(0)), labels=("A", "B") * (r // 2),
+        simplex=SimplexSpec([1 + i % 3 for i in range(r)]), aux_label="X",
+        aux_scale=Fraction(1, 3),
+    )
+    for samples in (4099, mc.BLOCK_SIZE + 9000):
+        for cap in (1, len(widths)):
+            _mc_bits(prob, cap, mc.MCConfig(seed=r + cap, samples=samples))
+
+
 def test_integrate_mc_without_paths_and_in_dimension_zero():
     cfg = mc.MCConfig(seed=8, samples=5000)
     pathless = [
@@ -472,13 +498,27 @@ def test_integrate_mc_without_paths_and_in_dimension_zero():
 
 
 def test_integrate_mc_matches_per_path_oracle():
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    reached = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(marked_problems(), st.sampled_from((1, 1000, mc._CHUNK_ROWS + 1)))
     def check(case, samples):
         prob, cap = case
         _mc_bits(prob, cap, mc.MCConfig(seed=samples + cap, samples=samples))
+        if prob.tree.dimension and samples > 1 and next(prob.tree.paths(), None):
+            reached.add(prob.arity)
 
     check()
+    # wide arities reach the edge-mark product with paths to sum
+    assert {8, 16, 32} <= reached
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_integrate_mc_matches_per_path_oracle_on_the_averaging_twist(k):
+    problem = harmonic_twist(tree_from_dict(AVERAGING_TREE), ["L1", "L2"], "N", k)
+    for cap in range(-1, 4):
+        for samples in (1000, mc.BLOCK_SIZE + mc._CHUNK_ROWS + 1):
+            _mc_bits(problem, cap, mc.MCConfig(seed=k + cap, samples=samples, workers=2))
 
 
 def test_integrate_mc_against_exact():

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _helpers import whole_block_tally
 from jetcalc import integrands, mc
@@ -295,6 +296,49 @@ def test_sample_block_matches_out_of_place_division():
     exp = mc.block_rng(41, 2).standard_exponential((5000, spec.arity))
     want = exp / exp.sum(axis=1, keepdims=True) / np.asarray(spec.weights, dtype=float)
     assert np.array_equal(mc.sample_block(spec, 41, 2, 5000), want)
+
+
+@pytest.mark.parametrize("arity", [*range(1, 10), 16, 32])
+def test_sample_block_matches_the_contract_formula(arity):
+    # below 8 coordinates the row sums are column folds, from 8 on numpy's
+    spec = SimplexSpec([1 + i % 3 for i in range(arity)])
+    for count in (1, 5000):
+        exp = mc.block_rng(7, arity).standard_exponential((count, arity))
+        want = exp / exp.sum(axis=1, keepdims=True) / np.asarray(spec.weights, dtype=float)
+        assert mc.sample_block(spec, 7, arity, count).tobytes() == want.tobytes()
+
+
+# signed zeros, subnormals, infinities and normal numbers of spread magnitudes
+_SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, np.inf, -np.inf])
+_GROUP_WIDTHS = (*range(1, 13), 16, 33, 129)  # 129: past numpy's 128-element pairwise block
+
+
+def test_group_sums_match_numpy_reduction():
+    reached_k, reached_r = set(), set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 9),
+        st.sampled_from(_GROUP_WIDTHS),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+    )
+    def check(k, r, seed, special):
+        rng = np.random.default_rng(seed)
+        for rows in (0, 1, 4097):
+            x = rng.standard_normal((rows, k * r)) * 10.0 ** rng.integers(-12, 13, (rows, k * r))
+            pick = rng.random(x.shape) < special
+            x[pick] = rng.choice(_SPECIAL_ENTRIES, pick.sum())
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = mc._group_sums(x, k, r)
+                want = x.reshape(-1, k, r).sum(axis=2)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        reached_k.add(k)
+        reached_r.add(r)
+
+    check()
+    assert reached_k == set(range(1, 10)) and reached_r == set(_GROUP_WIDTHS)
 
 
 @pytest.mark.parametrize("k, r", [(1, 1), (2, 1), (3, 3), (6, 2)])
