@@ -50,7 +50,7 @@ from .ring import Scalar
 from .simplex import AffineForm, SimplexSpec, vertex_product_sum
 from .strat import (
     ChildEdge,
-    InternalNode,
+    Leaf,
     Node,
     StratTree,
     assignment_max,
@@ -172,9 +172,15 @@ def max_tensor_degree(
 # -- integration ----------------------------------------------------------------
 
 
-def _compile(tree: StratTree) -> tuple[list[ChildEdge], list[tuple[list[int], int]]]:
-    """The distinct edge objects, in pre-order of first appearance, and
-    every root-to-leaf path as (edge indices, leaf degree).
+def _compile(
+    tree: StratTree,
+) -> tuple[list[ChildEdge], list[tuple[int, ...]], list[tuple[int, tuple[int, ...], int]]]:
+    """One pre-order walk of the tree's positions.
+
+    Returns the distinct edge objects in pre-order of first appearance,
+    each one's first position as a child-index trail, and every root-to-leaf
+    path as (shared, edge indices, leaf degree), where shared is the depth
+    at which the path leaves the previous one (0 for the first path).
 
     The edges include those on no path (into childless internal nodes).
     :func:`integrate_mc` builds one form per edge and keeps their columns:
@@ -182,16 +188,28 @@ def _compile(tree: StratTree) -> tuple[list[ChildEdge], list[tuple[list[int], in
     dropping one can change the last bit of the marks that are kept.
     """
     index_of: dict[int, int] = {}
-    edges: list[ChildEdge] = []
-    for edge in tree.edges():
-        if id(edge) not in index_of:
-            index_of[id(edge)] = len(edges)
-            edges.append(edge)
-    paths = [
-        ([index_of[id(edge)] for edge in path], leaf.degree)
-        for path, leaf in tree.paths()
-    ]
-    return edges, paths
+    edges, firsts, paths = [], [], []
+    # the current position's edge indices and child indices, by depth
+    cols, trail = [0] * tree.dimension, [0] * tree.dimension
+    shared = 0
+
+    def walk(node: Node, depth: int) -> None:
+        nonlocal shared
+        if isinstance(node, Leaf):
+            paths.append((shared, tuple(cols), node.degree))
+            shared = depth
+            return
+        for i, edge in enumerate(node.children):
+            shared = min(shared, depth)
+            c = index_of.setdefault(id(edge), len(edges))
+            if c == len(edges):
+                edges.append(edge)
+                firsts.append((*trail[:depth], i))
+            cols[depth], trail[depth] = c, i
+            walk(edge.child, depth + 1)
+
+    walk(tree.root, 0)
+    return edges, firsts, paths
 
 
 def _vertex_rows(
@@ -221,24 +239,6 @@ def _vertex_rows(
     return rows, common
 
 
-def _position(root: Node, target: ChildEdge) -> str:
-    """The first position of an edge in pre-order, as a child-index path
-    such as ``root→1→0``."""
-
-    def walk(node: Node, path: list[str]) -> list[str] | None:
-        if isinstance(node, InternalNode):
-            for i, edge in enumerate(node.children):
-                here = [*path, str(i)]
-                if edge is target:
-                    return here
-                found = walk(edge.child, here)
-                if found is not None:
-                    return found
-        return None
-
-    return "→".join(walk(root, ["root"]))
-
-
 def integrate_exact(prob: MarkedSimplexProblem, max_index: int) -> Fraction:
     """Exact integral of the index sum over the simplex, uniform measure.
 
@@ -256,25 +256,25 @@ def integrate_exact(prob: MarkedSimplexProblem, max_index: int) -> Fraction:
 
     with total the sum of the surviving paths' sums times their leaf degrees.
     """
-    edges, paths = _compile(prob.tree)
+    edges, firsts, paths = _compile(prob.tree)
     rows, common = _vertex_rows(prob, edges)
     n, r = prob.tree.dimension, prob.arity
     negative: set[int] = set()
     if max_index < n:
         # only edges on some path: a childless internal node ends no path
-        for c in sorted({c for cols, _ in paths for c in cols}):
+        for c in sorted({c for _, cols, _ in paths for c in cols}):
             low, high = min(rows[c]), max(rows[c])
             if low < 0 < high:
+                where = "→".join(["root", *map(str, firsts[c])])
                 values = ", ".join(str(Fraction(v, common)) for v in rows[c])
                 raise MixedSignError(
-                    f"the edge form at {_position(prob.tree.root, edges[c])} changes "
-                    f"sign on the simplex (vertex values {values}); use Monte-Carlo "
-                    "integration"
+                    f"the edge form at {where} changes sign on the simplex "
+                    f"(vertex values {values}); use Monte-Carlo integration"
                 )
             if low < 0:
                 negative.add(c)
     total = 0
-    for cols, degree in paths:
+    for _, cols, degree in paths:
         if sum(c in negative for c in cols) > max_index:
             continue
         total += degree * vertex_product_sum(r, [rows[c] for c in cols])
@@ -297,30 +297,22 @@ def integrate_mc(
     product ``C @ t.T`` would skip the transpose, but OpenBLAS rounds the
     last few rows of a chunk differently there, so it is not used.  Path
     products are built level by level over the paths' prefixes in
-    pre-order: a path shares its parent prefix's product with the path
-    before it, each further edge multiplies in one mark row, the left fold
-    of a per-path product, and a path's first product is its first mark row
-    (1.0 * x is x).  The path terms, each product times its leaf degree (no
+    pre-order: a path keeps the products of its prefix down to the depth
+    where :func:`_compile`'s walk left the path before it, each further edge
+    multiplies in one mark row, the left fold of a per-path product, and a
+    path's first product is its first mark row (1.0 * x is x).  The path terms, each product times its leaf degree (no
     multiply for degree 1), are added in path order onto zeros.  Only where
     the cap can cut (0 <= cap < n) are negative marks tracked, as the cap
     less the negative marks of each shared prefix short of the last edge: a
     path counts when that budget covers its last edge's own negative mark.
     At cap >= n every path counts, below 0 none does.
     """
-    edges, paths = _compile(prob.tree)
+    edges, _, paths = _compile(prob.tree)
     forms = [prob.edge_form(edge, prob.aux_label is not None) for edge in edges]
     coeff_matrix = np.array(
         [[float(c) for c in f.coeffs] for f in forms], dtype=float
     ).reshape(len(forms), prob.arity)
     constants = np.array([float(f.constant) for f in forms])[:, None]
-    # (shared prefix length with the previous path, the path's columns, degree)
-    steps, previous = [], []
-    for cols, degree in paths if max_index >= 0 else []:
-        shared = 0
-        while shared < min(len(cols), len(previous)) and cols[shared] == previous[shared]:
-            shared += 1
-        steps.append((shared, cols, degree))
-        previous = cols
     cuts = 0 <= max_index < prob.tree.dimension
     budget_type = np.min_scalar_type(-prob.tree.dimension)
 
@@ -335,7 +327,7 @@ def integrate_mc(
         if cuts:
             negative = marks < 0
             budgets = [budget_type.type(max_index)]
-        for shared, cols, degree in steps:
+        for shared, cols, degree in paths if max_index >= 0 else ():
             del products[shared + 1 :]
             for col in cols[shared:]:
                 products.append(products[-1] * marks[col] if len(products) > 1 else marks[col])

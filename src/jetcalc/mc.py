@@ -270,7 +270,7 @@ def jets_decomposition(
     x = np.asarray(samples, dtype=float).reshape(-1, k, r)
     y = _group_sums(x, k, r)
     keep = (y != 0).all(axis=1)
-    return _yprime(samples, k, r), x[keep] / y[keep][:, :, None]
+    return y[keep] * np.arange(1, k + 1), x[keep] / y[keep][:, :, None]
 
 
 def _record(

@@ -9,9 +9,11 @@ generating-function convolution), cofactor determinants and Cramer's rule
 ``Fraction`` product of graded polynomials (the oracle for the
 integer-numerator product), a parser of rendered polynomial text (the
 oracle for ``render``), the whole-block Monte-Carlo tally (the oracle for
-the chunked tally of ``mc._tally_statistics``) and the per-path
+the chunked tally of ``mc._tally_statistics``), the per-path
 Monte-Carlo index sum (the oracle for the level-wise path products of
-``integrate_mc``)."""
+``integrate_mc``), and the distinct edges of ``StratTree.edges()`` with a
+search for each one's first position (the oracles for the one walk of
+``integrands._compile``)."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from jetcalc import integrands, mc
+from jetcalc import mc
 from jetcalc.integrands import MarkedSimplexProblem, MixedSignError
 from jetcalc.lattice import enumerate_compositions
 from jetcalc.ring import GradedPoly
@@ -307,6 +309,29 @@ def whole_block_tally(
     return total
 
 
+def distinct_edges(tree: StratTree) -> list[ChildEdge]:
+    """The distinct edge objects of ``tree.edges()``, by identity, in
+    pre-order of first appearance."""
+    return list({id(edge): edge for edge in tree.edges()}.values())
+
+
+def first_position(root: Node, target: ChildEdge) -> tuple[int, ...]:
+    """The first position of an edge in pre-order, as a child-index trail,
+    by a search that stops at the first match."""
+
+    def walk(node: Node, trail: tuple[int, ...]) -> tuple[int, ...] | None:
+        if isinstance(node, InternalNode):
+            for i, edge in enumerate(node.children):
+                if edge is target:
+                    return (*trail, i)
+                found = walk(edge.child, (*trail, i))
+                if found is not None:
+                    return found
+        return None
+
+    return walk(root, ())
+
+
 def per_path_mc_values(
     prob: MarkedSimplexProblem, max_index: int, t: np.ndarray
 ) -> np.ndarray:
@@ -317,7 +342,8 @@ def per_path_mc_values(
     adds the product times its leaf degree where the count is at most
     ``max_index``.
     """
-    edges, paths = integrands._compile(prob.tree)
+    edges = distinct_edges(prob.tree)
+    index_of = {id(edge): c for c, edge in enumerate(edges)}
     forms = [prob.edge_form(edge, prob.aux_label is not None) for edge in edges]
     coeff_matrix = np.array(
         [[float(c) for c in f.coeffs] for f in forms], dtype=float
@@ -326,9 +352,10 @@ def per_path_mc_values(
     marks = t @ coeff_matrix.T + constants
     neg = marks < 0
     values = np.zeros(len(t))
-    for cols, degree in paths:
+    for path, leaf in prob.tree.paths():
+        cols = [index_of[id(edge)] for edge in path]
         keep = neg[:, cols].sum(axis=1) <= max_index
-        values += np.where(keep, marks[:, cols].prod(axis=1) * degree, 0.0)
+        values += np.where(keep, marks[:, cols].prod(axis=1) * leaf.degree, 0.0)
     return values[:, None]
 
 

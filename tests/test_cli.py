@@ -57,6 +57,7 @@ MC_SAMPLE_COUNTS = (1, 1000, 1 << 17, (1 << 17) + 12345)
 MC_TREES = {
     "SIGN_TREE": str(GOLDEN / "sign_changing_tree.json"),
     "TRIV_TREE": str(GOLDEN / "trivialized_tree.json"),
+    "ONE_EDGE_TREE": str(GOLDEN / "one_edge_tree.json"),
 }
 MC_GOLDENS = [
     f"upsilon-integrate --tree SIGN_TREE --labels A,B --a 1,2 --upto {cap}{aux}"
@@ -79,6 +80,11 @@ MC_GOLDENS = [
     "mc-experiment --name averaging --tree TRIV_TREE --labels L1,L2 --aux N --whole E"
     f" --upto 1 --k-values 2,4 --samples {n} --workers 2"
     for n in (1000, (1 << 17) + 12345)
+] + [
+    # one distinct edge at arity 8: t @ C.T is a matrix-vector product whose
+    # rounding depends on the chunk's row count (three 4115-row chunks here)
+    "upsilon-integrate --tree ONE_EDGE_TREE --labels A,B,A,B,A,B,A,B --a 1,2,3,1,2,3,1,2"
+    " --upto 0 --mc --samples 12345 --workers 2",
 ]
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from _helpers import (
     AVERAGING_TREE,
+    distinct_edges,
+    first_position,
     per_path_integral,
     per_path_mc_values,
     random_tree,
@@ -307,6 +309,104 @@ def test_integrate_exact_computes_vertex_values_once_per_edge_form(monkeypatch):
         [(edges, rows)] = calls
         assert len(rows) == 6
         assert len({id(edge) for edge in edges}) == 6
+
+
+@st.composite
+def walk_trees(draw):
+    """A tree for the compile walk, of dimension 0..4.
+
+    Each depth draws a few edge objects over a pool of subtrees and builds
+    its nodes' child lists from them, so subtrees and edge objects are
+    shared, a node may list one edge object more than once, and an internal
+    node below the root may have no children.
+    """
+    n = draw(st.integers(0, 4))
+    pool = [Leaf(degree=d) for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))]
+    for depth in reversed(range(n)):
+        edges = [
+            ChildEdge(markings={"A": draw(st.integers(-2, 2))}, child=draw(st.sampled_from(pool)))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        pool = [
+            InternalNode(children=tuple(draw(st.lists(
+                st.sampled_from(edges), min_size=0 if depth else 1, max_size=3
+            ))))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+    return StratTree(dimension=n, bundles=(("A", 1),), root=draw(st.sampled_from(pool)))
+
+
+def _leaf_trails(node, trail=()):
+    """The child-index trail of every root-to-leaf path, in pre-order."""
+    if isinstance(node, Leaf):
+        yield trail
+        return
+    for i, edge in enumerate(node.children):
+        yield from _leaf_trails(edge.child, (*trail, i))
+
+
+def _common_prefix(a, b):
+    return next((d for d, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def test_compile_walk_matches_edges_paths_and_first_positions():
+    reached = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(walk_trees())
+    def check(tree):
+        edges, firsts, paths = integrands._compile(tree)
+        assert [id(edge) for edge in edges] == [id(edge) for edge in distinct_edges(tree)]
+        assert firsts == [first_position(tree.root, edge) for edge in edges]
+        index_of = {id(edge): c for c, edge in enumerate(edges)}
+        want = [
+            (tuple(index_of[id(edge)] for edge in path), leaf.degree)
+            for path, leaf in tree.paths()
+        ]
+        assert [(cols, degree) for _, cols, degree in paths] == want
+        previous, previous_trail = (), ()
+        for (shared, cols, _), trail in zip(paths, _leaf_trails(tree.root), strict=True):
+            # shared is where the two positions part; equal columns may run on
+            assert shared == _common_prefix(trail, previous_trail)
+            assert cols[:shared] == previous[:shared]
+            if shared < _common_prefix(cols, previous):
+                reached.add("equal columns past shared")
+            previous, previous_trail = cols, trail
+        if tree.dimension == 0:
+            reached.add("dimension 0")
+        reached.add(("shared edges", sum(1 for _ in tree.edges()) > len(edges)))
+        nodes = [tree.root, *(edge.child for edge in edges)]
+        if any(isinstance(node, InternalNode) and not node.children for node in nodes):
+            reached.add("childless")
+        if any(
+            isinstance(node, InternalNode) and len({*map(id, node.children)}) < len(node.children)
+            for node in nodes
+        ):
+            reached.add("edge listed twice")
+
+    check()
+    assert {"dimension 0", ("shared edges", True), ("shared edges", False), "childless",
+            "edge listed twice", "equal columns past shared"} <= reached
+
+
+def test_mixed_sign_error_names_the_first_position_under_a_shared_subtree():
+    # the sign-changing edge sits in a subtree reached from root→1 and root→2;
+    # its first position in pre-order is root→1→1
+    bundles = (("A", 1), ("B", 2))
+    changing = ChildEdge(markings={"A": 1, "B": -1}, child=Leaf(1))
+    shared = InternalNode((ChildEdge(markings={"A": 1, "B": 1}, child=Leaf(2)), changing))
+    tree = StratTree(2, bundles, InternalNode((
+        ChildEdge(markings={"A": 2, "B": 1},
+                  child=InternalNode((ChildEdge(markings={"A": 1, "B": 0}, child=Leaf(1)),))),
+        ChildEdge(markings={"A": 1, "B": 0}, child=shared),
+        ChildEdge(markings={"A": 0, "B": 3}, child=shared),
+    )))
+    with pytest.raises(MixedSignError) as raised:
+        integrate_exact(problem(tree, ("A", "B"), (1, 1)), 0)
+    assert str(raised.value) == (
+        "the edge form at root→1→1 changes sign on the simplex "
+        "(vertex values 1, -1/2); use Monte-Carlo integration"
+    )
 
 
 ORACLE_LABELS = ("A", "B", "X")
