@@ -11,6 +11,11 @@ b)).  Results are therefore bit-identical for identical (seed, samples)
 regardless of worker count; workers only split blocks, and per-block
 partial statistics (count, sum, sum of squares) are merged in block order.
 
+A block's rows are drawn in pieces of whole chunks (below), about 2^17
+values (1 MB) each, that continue its one generator: the same bits as one
+draw of the whole block, with no block-sized sample matrix built.  Up to
+arity 2 a piece is the whole block, from arity 32 on it is one chunk.
+
 Statistics are row-wise and evaluated on row chunks of each block, so no
 block-sized statistic matrix is built.  A block's tally has the bits of
 numpy's reduction of its whole statistic matrix: pairwise for one column
@@ -53,7 +58,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,9 +104,13 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def sample_block(spec: SimplexSpec, seed: int, block_index: int, count: int) -> np.ndarray:
-    """One (count, r) block of uniform points of D_a."""
-    rng = block_rng(seed, block_index)
+def sample_block(spec: SimplexSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next (count, r) uniform points of D_a in rng's stream.
+
+    The exponentials are drawn in row-major order and each row is
+    normalized on its own, so consecutive draws from one generator have the
+    bits of a single draw of all their rows.
+    """
     points = rng.standard_exponential((count, spec.arity))
     np.divide(points, _group_sums(points, 1, spec.arity), out=points)
     return np.divide(points, np.asarray(spec.weights, dtype=float), out=points)
@@ -212,17 +221,32 @@ def _tally_statistics(
     """Sample all blocks, evaluate a (rows, width) statistic matrix on row
     chunks of each, and merge the tallies in block order.
 
-    The statistic must be row-wise: each output row depends on one sample
-    row alone (rows may be dropped).  Each block's tally has the bits of
-    :meth:`MomentTally.absorb` on the block's whole statistic matrix: a
-    single column is gathered over the block and summed once, wider
-    matrices are folded chunk by chunk.
+    A block is drawn in pieces of whole chunks, as many as fit in
+    2 * BLOCK_SIZE values and at least one, from its one generator: the
+    bits of one whole-block draw, and a piece is freed before the next is
+    drawn.  The statistic must be row-wise: each output row depends on one
+    sample row alone (rows may be dropped).  Each block's tally has the
+    bits of :meth:`MomentTally.absorb` on the block's whole statistic
+    matrix: a single column is gathered over the block and summed once,
+    wider matrices are folded chunk by chunk.
     """
 
+    per_piece = max(1, 2 * BLOCK_SIZE // (spec.arity * _CHUNK_ROWS))
+
+    def chunk_stats(b: int, n: int) -> Iterator[np.ndarray]:
+        rng = block_rng(cfg.seed, b)
+        chunks = _chunks(n)
+        for i in range(0, len(chunks), per_piece):
+            piece = chunks[i : i + per_piece]
+            start = piece[0][0]
+            rows = sample_block(spec, rng, piece[-1][1] - start)
+            for lo, hi in piece:
+                yield stats_of_block(rows[lo - start : hi - start])
+            del rows  # freed before the next piece is drawn
+
     def job(b: int, n: int) -> MomentTally:
-        block = sample_block(spec, cfg.seed, b, n)
         tally = MomentTally.empty(width)
-        chunks = (stats_of_block(block[lo:hi]) for lo, hi in _chunks(n))
+        chunks = chunk_stats(b, n)
         if width > 1:
             for values in chunks:
                 tally.absorb(values)

@@ -299,7 +299,7 @@ def whole_block_tally(
     """
     total = mc.MomentTally(0, np.zeros(width), np.zeros(width))
     for b, n in enumerate(mc.block_sizes(cfg.samples)):
-        values = stats_of_block(mc.sample_block(spec, cfg.seed, b, n))
+        values = stats_of_block(mc.sample_block(spec, mc.block_rng(cfg.seed, b), n))
         sums, sumsqs = np.zeros(width), np.zeros(width)
         sums += values.sum(axis=0)
         sumsqs += (values * values).sum(axis=0)

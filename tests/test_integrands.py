@@ -504,7 +504,7 @@ def _mc_bits(prob, cap, cfg):
     pair = (float(want.mean()[0]), float(want.stderr()[0]))
     assert np.array(got).tobytes() == np.array(pair).tobytes()
     for b, n in enumerate(mc.block_sizes(cfg.samples)):
-        block = mc.sample_block(prob.simplex, cfg.seed, b, n)
+        block = mc.sample_block(prob.simplex, mc.block_rng(cfg.seed, b), n)
         rows = np.concatenate([evaluate(block[lo:hi]) for lo, hi in mc._chunks(n)])
         assert rows.tobytes() == per_path_mc_values(prob, cap, block).tobytes()
     return got

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +22,7 @@ CFG = mc.MCConfig(seed=2718281828, samples=150_000)
 
 def test_samples_lie_on_the_simplex():
     spec = SimplexSpec((1, 2, 3))
-    block = mc.sample_block(spec, CFG.seed, 0, 4096)
+    block = mc.sample_block(spec, mc.block_rng(CFG.seed, 0), 4096)
     assert (block >= 0).all()
     levels = block @ np.asarray(spec.weights, dtype=float)
     assert np.allclose(levels, 1.0, atol=1e-12)
@@ -29,14 +30,14 @@ def test_samples_lie_on_the_simplex():
 
 def test_sampler_determinism():
     spec = SimplexSpec((1, 3))
-    one = mc.sample_block(spec, 123, 5, 1000)
-    two = mc.sample_block(spec, 123, 5, 1000)
-    other = mc.sample_block(spec, 124, 5, 1000)
+    one = mc.sample_block(spec, mc.block_rng(123, 5), 1000)
+    two = mc.sample_block(spec, mc.block_rng(123, 5), 1000)
+    other = mc.sample_block(spec, mc.block_rng(124, 5), 1000)
     assert (one == two).all()
     assert not (one == other).all()
     # the blocks of a run cover exactly its samples, a partial block last
     run = np.concatenate(
-        [mc.sample_block(spec, 17, b, n) for b, n in enumerate(mc.block_sizes(70_000))]
+        [mc.sample_block(spec, mc.block_rng(17, b), n) for b, n in enumerate(mc.block_sizes(70_000))]
     )
     assert run.shape == (70_000, 2)
 
@@ -66,19 +67,28 @@ def test_uniform_weights_mean_is_one_over_r():
     assert np.allclose(tally.mean(), 0.25, atol=4 * tally.stderr().max())
 
 
-def _projection_statistic(width: int, drop: bool):
-    """A row-wise statistic of mixed signs and magnitudes on 3 coordinates;
-    with ``drop``, rows whose first coordinate exceeds 0.4 are left out."""
+def _projection_statistic(arity: int, width: int, drop: bool):
+    """A row-wise statistic of mixed signs and magnitudes on the coordinates;
+    with ``drop``, rows whose first coordinate exceeds 1.2 / arity are left
+    out."""
     rng = np.random.default_rng(width)
     # transposed, as integrate_mc projects: BLAS takes a different kernel
-    # for a one-row product, so a one-row chunk would change the bits
-    matrix = rng.standard_normal((width, 3)) * 10.0 ** rng.integers(-3, 4, (width, 1))
+    # for a one-row product, so a one-row chunk would change the bits.  Two
+    # columns at least: a one-column product is a matrix-vector product,
+    # whose rows' bits depend on the chunk's row count from arity 8 on, so
+    # it is not row-wise.
+    columns = max(width, 2)
+    matrix = rng.standard_normal((columns, arity)) * 10.0 ** rng.integers(-3, 4, (columns, 1))
 
     def stats(block):
-        values = block @ matrix.T - 0.25
-        return values[block[:, 0] <= 0.4] if drop else values
+        values = (block @ matrix.T)[:, :width] - 0.25
+        return values[block[:, 0] <= 1.2 / arity] if drop else values
 
     return stats
+
+
+def _spec(arity: int) -> SimplexSpec:
+    return SimplexSpec([1 + i % 3 for i in range(arity)])
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["all-rows", "dropping"])
@@ -95,17 +105,26 @@ def _projection_statistic(width: int, drop: bool):
         2 * mc.BLOCK_SIZE + 12345,
     ],
 )
-def test_chunked_tally_equals_whole_block_tally(samples, width, drop):
-    spec = SimplexSpec((1, 2, 3))
-    stats = _projection_statistic(width, drop)
+# a block is drawn whole up to arity 2, in pieces of several chunks at 3, 8,
+# 12 and 16, and a chunk at a time from 32 on
+@pytest.mark.parametrize("arity", [1, 2, 3, 8, 12, 16, 32, 33, 64])
+def test_chunked_tally_equals_whole_block_tally(arity, samples, width, drop):
+    spec = _spec(arity)
+    stats = _projection_statistic(arity, width, drop)
+    blocks = mc.block_sizes(samples)
     for workers in (1, 2):
         cfg = mc.MCConfig(seed=99, samples=samples, workers=workers)
         want = whole_block_tally(spec, cfg, width, stats)
-        with mock.patch.object(mc, "sample_block", wraps=mc.sample_block) as spy:
+        with (
+            mock.patch.object(mc, "block_rng", wraps=mc.block_rng) as keyed,
+            mock.patch.object(mc, "sample_block", wraps=mc.sample_block) as drawn,
+        ):
             got = mc._tally_statistics(spec, cfg, width, stats)
-        # sampled once per block, as many rows as the blocks hold
-        assert spy.call_count == len(mc.block_sizes(samples))
-        assert sum(call.args[3] for call in spy.call_args_list) == samples
+        # one generator per block, as many rows drawn as the blocks hold
+        assert sorted(call.args for call in keyed.call_args_list) == [
+            (99, b) for b in range(len(blocks))
+        ]
+        assert sum(call.args[2] for call in drawn.call_args_list) == samples
         assert got.count == want.count
         assert got.sums.tobytes() == want.sums.tobytes()
         assert got.sumsqs.tobytes() == want.sumsqs.tobytes()
@@ -114,7 +133,7 @@ def test_chunked_tally_equals_whole_block_tally(samples, width, drop):
     rows = []
     serial = mc.MCConfig(seed=99, samples=samples)
     mc._tally_statistics(spec, serial, width, lambda chunk: rows.append(stats(chunk)) or rows[-1])
-    whole = [stats(mc.sample_block(spec, 99, b, n)) for b, n in enumerate(mc.block_sizes(samples))]
+    whole = [stats(mc.sample_block(spec, mc.block_rng(99, b), n)) for b, n in enumerate(blocks)]
     assert np.concatenate(rows).tobytes() == np.concatenate(whole).tobytes()
 
 
@@ -132,7 +151,7 @@ def test_chunks_tile_a_block_with_no_short_chunk(base, extra):
 def test_jets_decomposition_block_sums():
     k, r = 3, 2
     spec = mc.block_weights(k, r)
-    block = mc.sample_block(spec, 9, 0, 120_000)
+    block = mc.sample_block(spec, mc.block_rng(9, 0), 120_000)
     yprime, z = mc.jets_decomposition(block, k, r)
     assert np.allclose(yprime.sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(z.sum(axis=2), 1.0, atol=1e-12)
@@ -151,7 +170,7 @@ def test_jets_decomposition_block_sums():
 def test_jets_decomposition_cross_block_independence():
     k, r = 2, 3
     spec = mc.block_weights(k, r)
-    block = mc.sample_block(spec, 31, 0, 60_000)
+    block = mc.sample_block(spec, mc.block_rng(31, 0), 60_000)
     _, z = mc.jets_decomposition(block, k, r)
     # covariance of coordinates of distinct normalized blocks is zero
     for l in range(r):
@@ -295,17 +314,70 @@ def test_sample_block_matches_out_of_place_division():
     spec = mc.block_weights(4, 3)
     exp = mc.block_rng(41, 2).standard_exponential((5000, spec.arity))
     want = exp / exp.sum(axis=1, keepdims=True) / np.asarray(spec.weights, dtype=float)
-    assert np.array_equal(mc.sample_block(spec, 41, 2, 5000), want)
+    assert np.array_equal(mc.sample_block(spec, mc.block_rng(41, 2), 5000), want)
 
 
 @pytest.mark.parametrize("arity", [*range(1, 10), 16, 32])
 def test_sample_block_matches_the_contract_formula(arity):
     # below 8 coordinates the row sums are column folds, from 8 on numpy's
-    spec = SimplexSpec([1 + i % 3 for i in range(arity)])
+    spec = _spec(arity)
     for count in (1, 5000):
         exp = mc.block_rng(7, arity).standard_exponential((count, arity))
         want = exp / exp.sum(axis=1, keepdims=True) / np.asarray(spec.weights, dtype=float)
-        assert mc.sample_block(spec, 7, arity, count).tobytes() == want.tobytes()
+        assert mc.sample_block(spec, mc.block_rng(7, arity), count).tobytes() == want.tobytes()
+
+
+def test_consecutive_draws_continue_one_block_stream():
+    # every arity gets the same drawn cut of one block into pieces
+    reached = set()
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(st.just(mc.BLOCK_SIZE), st.integers(1, mc.BLOCK_SIZE - 1)),
+        st.lists(st.one_of(st.just(1), st.integers(1, 3 * mc._CHUNK_ROWS)), max_size=12),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 100),
+    )
+    def check(count, sizes, seed, b):
+        pieces, drawn = [], 0
+        for size in [*sizes, count]:
+            size = min(size, count - drawn)
+            if size:
+                pieces.append(size)
+                drawn += size
+        for arity in range(1, 41):
+            spec = _spec(arity)
+            rng = mc.block_rng(seed, b)
+            got = np.concatenate([mc.sample_block(spec, rng, size) for size in pieces])
+            want = mc.sample_block(spec, mc.block_rng(seed, b), count)
+            assert got.tobytes() == want.tobytes()
+        reached.add("partial block" if count < mc.BLOCK_SIZE else "whole block")
+        if 1 in pieces:
+            reached.add("one-row piece")
+        if len(pieces) > 1:
+            reached.add("several pieces")
+
+    check()
+    assert reached == {"partial block", "whole block", "one-row piece", "several pieces"}
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("arity", [32, 64])
+def test_tally_holds_no_block_sized_sample_matrix(arity, width):
+    # pieces of one 4096-row chunk at these arities: a whole block's sample
+    # matrix would be four times the bound.  The statistics are narrower
+    # than the samples, so their chunks' temporaries stay well inside it.
+    spec = _spec(arity)
+    stats = _projection_statistic(arity, width, False)
+    cfg = mc.MCConfig(seed=3, samples=2 * mc.BLOCK_SIZE + 12345)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mc._tally_statistics(spec, cfg, width, stats)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < mc.BLOCK_SIZE * arity * 8 / 4
 
 
 # signed zeros, subnormals, infinities and normal numbers of spread magnitudes
