@@ -418,11 +418,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except strat.TreeStructureError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (
-        ValueError,
-        KeyError,
-        ZeroDivisionError,
-    ) as err:
+    except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

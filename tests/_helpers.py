@@ -1,7 +1,8 @@
 """Shared test helpers: generators for randomized tree tests (seeded,
 deterministic), the documented averaging tree, finite differences of exact
-values, the monomial expansion of simplex expectations (the oracle for the
-vertex-value method), the path-by-path exact integral over ``Fraction``
+values, the sum over all vertex maps behind ``simplex.vertex_product_sum``
+(the oracle for both of its methods), the monomial expansion of simplex
+expectations (the oracle for the vertex-value method), the path-by-path exact integral over ``Fraction``
 forms (the oracle for ``integrate_exact``'s integer vertex values),
 composition power sums by enumeration (the oracle for the
 generating-function convolution), cofactor determinants and Cramer's rule
@@ -17,6 +18,7 @@ search for each one's first position (the oracles for the one walk of
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -212,6 +214,19 @@ def forward_difference(values, order):
     total = values[0].ring.zero()
     for j in range(order + 1):
         total = total + values[j] * ((-1) ** (order - j) * math.comb(order, j))
+    return total
+
+
+def map_sum(r: int, rows: Sequence[Sequence[int]]) -> int:
+    """The defining sum of ``simplex.vertex_product_sum``, term by term: over
+    all r^M maps phi from the M rows to the r vertices, prod_i m_i! times
+    prod_j rows[j][phi(j)], with m_i the number of rows sent to vertex i."""
+    total = 0
+    for phi in itertools.product(range(r), repeat=len(rows)):
+        counts = [phi.count(i) for i in range(r)]
+        total += math.prod(map(math.factorial, counts)) * math.prod(
+            row[i] for row, i in zip(rows, phi)
+        )
     return total
 
 

@@ -389,6 +389,63 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+LABELLED_TREE = {
+    "dimension": 2,
+    "bundles": [{"label": label, "denominator": 1} for label in "LNE"],
+    "root": {
+        "children": [
+            {
+                "markings": {"L": 1, "N": 1, "E": 1},
+                "node": {
+                    "children": [
+                        {"markings": {"L": 2, "N": 1, "E": 2}, "node": {"degree": 1}}
+                    ]
+                },
+            }
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strat-degree", "--label", "X", "--upto", "0"],
+        ["strat-degree", "--label", "X", "--index", "0"],
+        ["strat-cmax", "--labels", "L,X", "--upto", "0"],
+        ["upsilon-integrate", "--labels", "L,X", "--a", "1,1", "--upto", "0"],
+        ["upsilon-integrate", "--labels", "L", "--a", "1", "--aux", "X", "--upto", "0"],
+        ["upsilon-integrate", "--labels", "L", "--a", "1", "--aux", "X", "--upto", "0",
+         "--mc", "--samples", "8"],
+        ["jet-bound", "--labels", "L,X", "--aux", "N", "--k", "1"],
+        ["jet-bound", "--labels", "L", "--aux", "X", "--k", "1"],
+        ["mc-experiment", "--name", "averaging", "--labels", "X", "--aux", "N",
+         "--whole", "E", "--k-values", "1", "--samples", "8"],
+        ["mc-experiment", "--name", "averaging", "--labels", "L", "--aux", "X",
+         "--whole", "E", "--k-values", "1", "--samples", "8"],
+        ["mc-experiment", "--name", "averaging", "--labels", "L", "--aux", "N",
+         "--whole", "X", "--k-values", "1", "--samples", "8"],
+    ],
+)
+def test_undeclared_label_is_a_domain_error(capsys, tmp_path, argv):
+    # every flag that names a label looks it up through the tree's
+    # declaration, which raises a ValueError, never a KeyError
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(LABELLED_TREE))
+    code, out, err = run(capsys, argv[0], "--tree", str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: label 'X' is not declared\n"
+
+
+def test_key_error_is_not_a_domain_error():
+    # no input reaches a KeyError (the labels above, and the CLI property's
+    # argvs, exit 0, 1 or 2 without one), so one escapes main as the
+    # internal error it is instead of exiting 1
+    with mock.patch.object(cli.segre, "gg_surface_coeffs", side_effect=KeyError("x")):
+        with pytest.raises(KeyError):
+            main(["gg-coeff", "--k", "2"])
+
+
 def test_one_parser_serves_consecutive_commands(capsys):
     # the parser is built once per process; a parse error between two
     # commands still exits 2, and no flag value carries over to the next

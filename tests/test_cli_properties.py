@@ -13,8 +13,11 @@ exit 0 on some argv: a third of the argvs are coherent, with every value in
 its flag's domain, labels drawn from the tree file's bundles and list
 lengths that agree (``--a`` with ``--labels``, ``--p`` with ``--a``).
 Exponent vectors (``--p``) may hold negative entries, which every handler
-must refuse with exit 1.  Values stay small so that every run is quick: at
-most 1024 samples and one or two workers.
+must refuse with exit 1.  Every domain error that README's exit-code
+paragraph names must exit 1 from its handler at least once; explicit
+examples back the ones the random stream reaches rarely.  Values stay
+small so that every run is quick: at most 1024 samples and one or two
+workers.
 """
 
 import contextlib
@@ -361,11 +364,74 @@ AVERAGING_TREE = json.dumps(
 )
 
 
+# The first edge's form changes sign on every simplex with labels L,M.
+SIGN_CHANGING_TREE = json.dumps(
+    {
+        "dimension": 2,
+        "bundles": [{"label": label, "denominator": 1} for label in "LM"],
+        "root": {
+            "children": [
+                {
+                    "markings": {"L": 1, "M": -1},
+                    "node": {
+                        "children": [{"markings": {"L": 1, "M": 1}, "node": {"degree": 1}}]
+                    },
+                }
+            ]
+        },
+    }
+)
+
+
 EXAMPLES = {
     "mc-experiment": [(["mc-experiment", "--name", "averaging", "--tree", "TREE"], AVERAGING_TREE)],
     "strat-degree": [(["strat-degree", "--tree", "TREE", "--label", "L", "--upto", "0"], "3")],
-    "lattice-sum": [(["lattice-sum", "--a", "2,3", "--p=-2,0", "--asymptotic"], "3")],
+    "lattice-sum": [
+        (["lattice-sum", "--a", "2,3", "--p=-2,0", "--asymptotic"], "3"),
+        (["lattice-sum", "--a", "2,3", "--p=-1,0", "--m", "4"], "3"),
+    ],
     "simplex-moment": [(["simplex-moment", "--a", "1,2", "--p=-1,1"], "3")],
+    "whitney": [(["whitney", "--weights", "1,2", "--ranks", "0,1", "--bound", "2"], "3")],
+    "upsilon-integrate": [
+        (["upsilon-integrate", "--tree", "TREE", "--labels", "L,M", "--a", "1,1", "--upto", "0"],
+         SIGN_CHANGING_TREE)
+    ],
+    "jet-bound": [
+        (["jet-bound", "--tree", "TREE", "--labels", "L,M", "--aux", "M", "--k", "1"],
+         SIGN_CHANGING_TREE)
+    ],
+}
+
+
+def _negative_exponents(argv):
+    return any(token.startswith("--p=-") for token in argv)
+
+
+# The domain errors that README's exit-code paragraph names, by subcommand:
+# each must exit 1, from its handler, on some argv of the property.
+DOMAIN_ERRORS = {
+    "upsilon-integrate": {
+        "exact integral of a sign-changing integrand": lambda argv, err: "changes sign" in err,
+    },
+    "jet-bound": {
+        "exact integral of a sign-changing integrand": lambda argv, err: "changes sign" in err,
+    },
+    "mc-experiment": {
+        "averaging without --tree, --labels, --aux or --whole":
+            lambda argv, err: "averaging needs --tree, --labels, --aux and --whole" in err,
+    },
+    "simplex-moment": {
+        "negative exponent": lambda argv, err: "exponents must be non-negative" in err,
+    },
+    "lattice-sum": {
+        "negative exponent with --m":
+            lambda argv, err: "exponents must be non-negative" in err and "--m" in argv,
+        "negative exponent with --asymptotic":
+            lambda argv, err: "exponents must be non-negative" in err and "--asymptotic" in argv,
+    },
+    "whitney": {
+        "rank below 1": lambda argv, err: "--ranks must be positive integers" in err,
+    },
 }
 
 
@@ -389,7 +455,7 @@ def _run(argv, tree_text):
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_every_argv_exits_0_1_or_2(command):
-    handled = []  # (argv, exit code) of every run that entered the handler
+    handled = []  # (argv, exit code, stderr) of every run that entered the handler
 
     def check(case):
         argv, tree_text = case
@@ -400,8 +466,8 @@ def test_every_argv_exits_0_1_or_2(command):
         else:
             assert not out and err
         if entered:
-            handled.append((argv, code))
-            if any(token.startswith("--p=-") for token in argv):
+            handled.append((argv, code, err))
+            if _negative_exponents(argv):
                 # a negative exponent is a domain error in every handler
                 assert code == 1, (argv, out)
 
@@ -409,9 +475,8 @@ def test_every_argv_exits_0_1_or_2(command):
         check = example(case)(check)
     SETTINGS(given(cases(command))(check))()
     assert handled, f"no {command} argv got past the parser to its handler"
-    assert any(code == 0 for _, code in handled), f"no {command} argv exited 0"
-    if "--p" in SUBCOMMANDS[command]:
+    assert any(code == 0 for _, code, _ in handled), f"no {command} argv exited 0"
+    for name, matches in DOMAIN_ERRORS.get(command, {}).items():
         assert any(
-            code == 1 and any(token.startswith("--p=-") for token in argv)
-            for argv, code in handled
-        )
+            code == 1 and matches(argv, err) for argv, code, err in handled
+        ), f"no {command} argv reached the domain error: {name}"

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _helpers import expanded_expectation
+from _helpers import expanded_expectation, map_sum
 from jetcalc import simplex
 from jetcalc.simplex import (
     AffineForm,
@@ -188,7 +188,7 @@ entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 @st.composite
 def weighted_forms(draw):
-    r = draw(st.integers(1, 7))
+    r = draw(st.integers(1, 10))
     spec = SimplexSpec(draw(st.lists(st.integers(1, 5), min_size=r, max_size=r)))
     forms = [
         AffineForm(draw(entries), draw(st.lists(entries, min_size=r, max_size=r)))
@@ -207,18 +207,73 @@ def test_affine_expectation_matches_monomial_expansion():
     def check(case):
         spec, forms = case
         with mock.patch.object(
-            simplex, "_sum_by_subsets", wraps=simplex._sum_by_subsets
-        ) as subsets, mock.patch.object(
+            simplex, "_sum_by_partitions", wraps=simplex._sum_by_partitions
+        ) as partitions, mock.patch.object(
             simplex, "_sum_by_exponents", wraps=simplex._sum_by_exponents
         ) as exponents:
             value = affine_product_expectation(spec, forms)
         m, r = len(forms), spec.arity
-        by_subsets = 3**m <= max(m, 1) * math.comb(m + r - 1, r - 1)
-        assert (subsets.call_count, exponents.call_count) == (
-            (1, 0) if by_subsets else (0, 1)
+        by_partitions = 2**m * r + 3**m <= 4 * max(m, 1) * math.comb(m + r - 1, r - 1)
+        assert (partitions.call_count, exponents.call_count) == (
+            (1, 0) if by_partitions else (0, 1)
         )
         assert value == expanded_expectation(spec, forms)
-        reached.add((by_subsets, m == 0))
+        reached.add((by_partitions, m == 0))
 
     check()
     assert {(True, True), (True, False), (False, False)} <= reached
+
+
+@st.composite
+def vertex_rows(draw):
+    """(r, rows): up to six rows of r integers, with some rows and some
+    columns set to zero."""
+    r = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.one_of(
+                st.just([0] * r),
+                st.lists(st.integers(-5, 5), min_size=r, max_size=r),
+            ),
+            max_size=6,
+        )
+    )
+    zero_columns = draw(st.sets(st.integers(0, r - 1), max_size=r))
+    return r, [[0 if i in zero_columns else v for i, v in enumerate(row)] for row in rows]
+
+
+def test_vertex_product_sum_methods_match_the_map_sum():
+    reached = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @example((3, []))
+    @given(vertex_rows())
+    def check(case):
+        r, rows = case
+        want = map_sum(r, rows)
+        assert simplex._sum_by_partitions(rows, r) == want
+        assert simplex._sum_by_exponents(rows, r) == want
+        with mock.patch.object(
+            simplex, "_sum_by_partitions", wraps=simplex._sum_by_partitions
+        ) as partitions:
+            assert simplex.vertex_product_sum(r, rows) == want
+        reached.add("partitions" if partitions.called else "exponents")
+        if rows:
+            columns = list(zip(*rows))
+            reached.update(
+                name
+                for name, seen in (
+                    ("zero column", not all(map(any, columns))),
+                    ("zero row", not all(map(any, rows))),
+                    ("negative", min(map(min, rows)) < 0),
+                    ("six rows", len(rows) == 6),
+                    ("arity six", r == 6),
+                )
+                if seen
+            )
+
+    check()
+    assert reached == {
+        "partitions", "exponents", "zero column", "zero row", "negative", "six rows",
+        "arity six",
+    }
