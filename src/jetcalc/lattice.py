@@ -23,11 +23,14 @@ cells spanned by that basis, which is the discrete skeleton of the
 Riemann-sum argument for simplex integrals.
 
 All arithmetic is exact.  Power sums multiply integer series truncated at
-x^m, O(m^2 / a_i) operations per factor, and never visit H_m; enumeration,
-used for the cone-cell counts, is output-sensitive recursive descent with
-remaining-budget pruning.  One Gauss-Jordan elimination gives both the
-Gram determinant that checks a basis and the basis coordinates of a cell.
-Exponent vectors are checked by :meth:`SimplexSpec.exponents`.
+x^m and never visit H_m: by sum_l l^q y^l = N_q(y) / (1 - y)^(q+1), with
+N_q the Eulerian numerator, multiplying by a factor sum_l l^q x^(a l) is
+at most q+1 shifted adds of N_q(x^a)'s terms and q+1 running sums along
+stride a, O((q+1) m) operations.  Enumeration, used for the cone-cell
+counts, is output-sensitive recursive descent with remaining-budget
+pruning.  One Gauss-Jordan elimination gives both the Gram determinant
+that checks a basis and the basis coordinates of a cell.  Exponent
+vectors are checked by :meth:`SimplexSpec.exponents`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -96,12 +99,24 @@ def _weight_series(a: int, q: int, m: int) -> list[int]:
 
 
 def _times_weight_series(series: list[int], a: int, q: int, m: int) -> list[int]:
-    """series * sum_l l^q x^(a l), truncated above x^m."""
-    out = series[:] if q == 0 else [0] * (m + 1)
-    for l in range(1, m // a + 1):
-        c = l**q
-        shift = a * l
-        out[shift:] = [x + c * y for x, y in zip(out[shift:], series)]
+    """series * sum_l l^q x^(a l), truncated above x^m.
+
+    sum_l l^q y^l = N_q(y) / (1 - y)^(q+1), where N_q(y) = sum_j c_j y^j
+    with c_j = sum_{i<=j} (-1)^(j-i) C(q+1, j-i) i^q is y A_q(y), A_q the
+    Eulerian polynomial (N_0 = 1; Stanley, *Enumerative Combinatorics* 1,
+    sec. 1.4).  So the series is multiplied by N_q(x^a), at most q+1
+    shifted adds, and divided by (1 - x^a)^(q+1), q+1 running sums along
+    stride a in each residue class: O((q+1) m) operations.
+    """
+    out = [0] * (m + 1)
+    for j in range(min(q, m // a) + 1):
+        c = sum((-1) ** (j - i) * math.comb(q + 1, j - i) * i**q for i in range(j + 1))
+        if c:
+            shift = a * j
+            out[shift:] = [x + c * y for x, y in zip(out[shift:], series)]
+    for _ in range(q + 1):
+        for r in range(min(a, m + 1)):
+            out[r::a] = accumulate(out[r::a])
     return out
 
 

@@ -5,8 +5,10 @@ values, the sum over all vertex maps behind ``simplex.vertex_product_sum``
 expectations (the oracle for the vertex-value method), the path-by-path exact integral over ``Fraction``
 forms (the oracle for ``integrate_exact``'s integer vertex values),
 composition power sums by enumeration (the oracle for the
-generating-function convolution), cofactor determinants and Cramer's rule
-(the oracle for the exact elimination in ``lattice``), the term-by-term
+generating-function convolution), the product with one weight series by
+shifted copies (the oracle for its Eulerian-numerator product), cofactor
+determinants and Cramer's rule (the oracle for the exact elimination in
+``lattice``), the term-by-term
 ``Fraction`` product of graded polynomials (the oracle for the
 integer-numerator product), a parser of rendered polynomial text (the
 oracle for ``render``), the whole-block Monte-Carlo tally (the oracle for
@@ -384,6 +386,17 @@ def enumerated_power_sum(
         for l in enumerate_compositions(spec, m)
     )
     return Fraction(total, math.prod(math.factorial(q) for q in powers))
+
+
+def convolved_weight_series(series: list[int], a: int, q: int, m: int) -> list[int]:
+    """series * sum_l l^q x^(a l), truncated above x^m, by adding one shifted
+    copy of the series per term l^q x^(a l) (O(m^2 / a) operations)."""
+    out = series[:] if q == 0 else [0] * (m + 1)
+    for l in range(1, m // a + 1):
+        c = l**q
+        shift = a * l
+        out[shift:] = [x + c * y for x, y in zip(out[shift:], series)]
+    return out
 
 
 def cofactor_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:

@@ -15,9 +15,11 @@ lengths that agree (``--a`` with ``--labels``, ``--p`` with ``--a``).
 Exponent vectors (``--p``) may hold negative entries, which every handler
 must refuse with exit 1.  Every domain error that README's exit-code
 paragraph names must exit 1 from its handler at least once; explicit
-examples back the ones the random stream reaches rarely.  Values stay
-small so that every run is quick: at most 1024 samples and one or two
-workers.
+examples back the ones the random stream reaches rarely.  The exact
+integrals also draw sign-changing argvs: coherent ones on a tree whose
+first edge form changes sign, which the random stream itself must carry
+to the sign-change refusal.  Values stay small so that every run is
+quick: at most 1024 samples and one or two workers.
 """
 
 import contextlib
@@ -52,6 +54,7 @@ EXPONENTS = st.lists(st.sampled_from(range(-2, 4)), min_size=1, max_size=4).map(
     lambda xs: ",".join(map(str, xs))
 )
 FLAG = object()  # a store_true flag: present or absent
+OMIT = object()  # in an override table: leave the flag out
 # A key that is a pair of flags names an argparse mutually exclusive group;
 # its value holds the two flags' values.
 EXCLUSIVE_CHOICES = ((), (0,), (1,), (0, 1))  # neither, one, the other, both
@@ -228,6 +231,25 @@ COHERENT = {
 }
 
 
+# What a sign-changing argv draws instead of COHERENT's values, on a tree
+# from ``sign_changing_trees``: both signed labels as base labels, the
+# unmarked E as the twist label, a cap below the dimension and no --mc, so
+# the exact integral meets the sign change.
+SIGN_CHANGING = {
+    "upsilon-integrate": {
+        "--labels": st.permutations(["L", "M"]).map(",".join),
+        "--aux": st.just("E"),
+        "--upto": _text(st.integers(0, 1)),
+        "--mc": OMIT,
+    },
+    "jet-bound": {
+        "--labels": st.permutations(["L", "M"]).map(",".join),
+        "--aux": st.just("E"),
+        "--mc": OMIT,
+    },
+}
+
+
 @st.composite
 def argvs(draw, command, mode, labels):
     """The subcommand; each of its flags left out, malformed or valid.
@@ -235,10 +257,15 @@ def argvs(draw, command, mode, labels):
     A noisy argv leaves flags out or malformed and may carry a stray
     token; a clean one has no malformed value; a coherent one gives every
     flag a value, exactly one of each exclusive pair, and draws from
-    COHERENT where it lists the flag, with ``labels`` the tree file's.
+    COHERENT where it lists the flag, with ``labels`` the tree file's; a
+    sign-changing one is coherent but draws from SIGN_CHANGING first.
     """
     noisy = mode == "noisy"
-    coherent = COHERENT.get(command, {}) if mode == "coherent" else None
+    coherent = None
+    if mode == "coherent":
+        coherent = COHERENT.get(command, {})
+    elif mode == "sign-changing":
+        coherent = {**COHERENT[command], **SIGN_CHANGING[command]}
     ways = ("valid", "valid", "omit", "malformed") if noisy else ("valid",) * 9 + ("omit",)
     argv = [command]
     drawn = {}
@@ -260,6 +287,8 @@ def argvs(draw, command, mode, labels):
             argv.extend([f"{flag}={value}"] if value.startswith("-") else [flag, value])
 
     for flag, values in SUBCOMMANDS[command].items():
+        if coherent is not None and coherent.get(flag) is OMIT:
+            continue
         if isinstance(flag, tuple):
             choices = EXCLUSIVE_CHOICES[1:3] if coherent is not None else EXCLUSIVE_CHOICES
             for i in draw(st.sampled_from(choices)):
@@ -274,9 +303,16 @@ def argvs(draw, command, mode, labels):
 
 
 @st.composite
-def valid_trees(draw):
-    dimension = draw(st.integers(0, 2))
-    labels = draw(st.lists(st.sampled_from("LMNE"), min_size=1, max_size=4, unique=True))
+def valid_trees(
+    draw,
+    dimensions=st.integers(0, 2),
+    label_lists=st.lists(st.sampled_from("LMNE"), min_size=1, max_size=4, unique=True),
+    min_children=0,
+):
+    """A coherent tree; internal nodes below the root have at least
+    ``min_children`` children (the root at least one)."""
+    dimension = draw(dimensions)
+    labels = draw(label_lists)
 
     def node(depth):
         if depth == dimension:
@@ -291,7 +327,7 @@ def valid_trees(draw):
                     },
                     "node": node(depth + 1),
                 }
-                for _ in range(draw(st.integers(0 if depth else 1, 2)))
+                for _ in range(draw(st.integers(min_children if depth else 1, 2)))
             ]
         }
 
@@ -302,6 +338,20 @@ def valid_trees(draw):
         ],
         "root": node(0),
     }
+
+
+@st.composite
+def sign_changing_trees(draw):
+    """A coherent tree of dimension 2 whose first edge marks L positive, M
+    negative and E not at all, and in which every internal node has a
+    child, so that edge lies on a path.  Its form changes sign on every
+    simplex whose base labels are L and M, with E as the twist label."""
+    tree = draw(valid_trees(st.just(2), st.permutations("LME"), min_children=1))
+    tree["root"]["children"][0]["markings"] = {
+        "L": draw(st.integers(1, 3)),
+        "M": draw(st.integers(-3, -1)),
+    }
+    return tree
 
 
 def _objects(value):
@@ -349,9 +399,17 @@ def tree_texts(draw, valid):
 @st.composite
 def cases(draw, command):
     """An argv of the subcommand and the text of its tree file: noisy,
-    clean or coherent, the last with a valid tree file."""
-    mode = draw(st.sampled_from(("noisy", "clean", "coherent")))
-    text, labels = draw(tree_texts(valid=mode == "coherent"))
+    clean, coherent with a valid tree file or, for the subcommands that
+    SIGN_CHANGING lists, sign-changing with a tree from
+    ``sign_changing_trees``."""
+    modes = ("noisy", "clean", "coherent")
+    if command in SIGN_CHANGING:
+        modes += ("sign-changing",)
+    mode = draw(st.sampled_from(modes))
+    if mode == "sign-changing":
+        text, labels = json.dumps(draw(sign_changing_trees())), ["L", "M", "E"]
+    else:
+        text, labels = draw(tree_texts(valid=mode == "coherent"))
     return draw(argvs(command, mode, labels)), text
 
 
@@ -456,8 +514,10 @@ def _run(argv, tree_text):
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_every_argv_exits_0_1_or_2(command):
     handled = []  # (argv, exit code, stderr) of every run that entered the handler
+    drawn_sign_changes = 0  # drawn (not example) argvs refused for a sign change
 
     def check(case):
+        nonlocal drawn_sign_changes
         argv, tree_text = case
         code, out, err, entered = _run(argv, tree_text)
         assert code in (0, 1, 2), (argv, err)
@@ -467,6 +527,8 @@ def test_every_argv_exits_0_1_or_2(command):
             assert not out and err
         if entered:
             handled.append((argv, code, err))
+            if code == 1 and "changes sign" in err and case not in EXAMPLES.get(command, ()):
+                drawn_sign_changes += 1
             if _negative_exponents(argv):
                 # a negative exponent is a domain error in every handler
                 assert code == 1, (argv, out)
@@ -480,3 +542,5 @@ def test_every_argv_exits_0_1_or_2(command):
         assert any(
             code == 1 and matches(argv, err) for argv, code, err in handled
         ), f"no {command} argv reached the domain error: {name}"
+    if command in SIGN_CHANGING:
+        assert drawn_sign_changes, f"no drawn {command} argv reached the sign change"

@@ -5,7 +5,12 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _helpers import cofactor_det, cramer_solve, enumerated_power_sum
+from _helpers import (
+    cofactor_det,
+    convolved_weight_series,
+    cramer_solve,
+    enumerated_power_sum,
+)
 from jetcalc.lattice import (
     DegenerateLatticeError,
     InvalidCellError,
@@ -18,6 +23,7 @@ from jetcalc.lattice import (
     power_sum_asymptotic,
     power_sum_table,
     _gauss_jordan,
+    _times_weight_series,
 )
 from jetcalc import simplex
 from jetcalc.ring import GradedRing
@@ -162,7 +168,7 @@ def test_power_sum_table_matches_power_sum():
 def power_sum_cases(draw):
     r = draw(st.integers(1, 5))
     spec = SimplexSpec(draw(st.lists(st.integers(1, 5), min_size=r, max_size=r)))
-    powers = tuple(draw(st.lists(st.integers(0, 4), min_size=r, max_size=r)))
+    powers = tuple(draw(st.lists(st.integers(0, 8), min_size=r, max_size=r)))
     return spec, powers, draw(st.integers(0, 4)), draw(st.integers(-2, 40))
 
 
@@ -176,6 +182,8 @@ def test_power_sums_match_enumeration():
     @example((SimplexSpec((3,)), (1,), 1, 10))
     @example((SimplexSpec((2, 4)), (1, 3), 3, 7))
     @example((SimplexSpec((1, 2)), (0, 0), 0, -1))
+    @example((SimplexSpec((1, 7, 2)), (1, 0, 2), 2, 6))  # m below a middle weight
+    @example((SimplexSpec((4,)), (0,), 0, 12))  # q = 0 at r = 1
     @given(power_sum_cases())
     def check(case):
         spec, powers, degree, m = case
@@ -191,6 +199,37 @@ def test_power_sums_match_enumeration():
 
     check()
     assert reached == {"r=1", "negative", "off-gcd", "on-gcd"}
+
+
+def test_times_weight_series_matches_shifted_copies():
+    # the Eulerian-numerator product against the shifted-copy convolution
+    reached = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 90).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.integers(-10**6, 10**6), min_size=m + 1, max_size=m + 1),
+                st.integers(1, 9),
+                st.integers(0, 10),
+                st.just(m),
+            )
+        )
+    )
+    def check(case):
+        series, a, q, m = case
+        assert _times_weight_series(series, a, q, m) == convolved_weight_series(
+            series, a, q, m
+        )
+        if q == 0:
+            reached.add("q=0")
+        if q > m // a:
+            reached.add("q>m//a")
+        if a > m:
+            reached.add("a>m")
+
+    check()
+    assert reached == {"q=0", "q>m//a", "a>m"}
 
 
 def test_power_sum_table_at_a_deep_level():
