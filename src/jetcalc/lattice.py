@@ -26,21 +26,26 @@ All arithmetic is exact.  Power sums multiply integer series truncated at
 x^m and never visit H_m: by sum_l l^q y^l = N_q(y) / (1 - y)^(q+1), with
 N_q the Eulerian numerator, multiplying by a factor sum_l l^q x^(a l) is
 at most q+1 shifted adds of N_q(x^a)'s terms and q+1 running sums along
-stride a, O((q+1) m) operations.  Enumeration, used for the cone-cell
-counts, is output-sensitive recursive descent with remaining-budget
-pruning.  One Gauss-Jordan elimination gives both the Gram determinant
-that checks a basis and the basis coordinates of a cell.  Exponent
-vectors are checked by :meth:`SimplexSpec.exponents`.
+stride a, O((q+1) m) operations.  The r factors are split at s = r // 2
+and each half's product is memoized on its exponents, so a table of all
+|p| = n takes sum_{k=2}^{s} C(n+k, k) + sum_{k=2}^{r-s} C(n+k, k) factor
+products (meet in the middle; Horowitz and Sahni, J. ACM 21, 1974) and
+one dot product of a head and a reversed tail per p.  Enumeration, used
+for the cone-cell counts, is output-sensitive recursive descent with
+remaining-budget pruning.  One Gauss-Jordan elimination gives both the
+Gram determinant that checks a basis and the basis coordinates of a cell.
+Exponent vectors are checked by :meth:`SimplexSpec.exponents`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .simplex import DegenerateLatticeError, SimplexSpec
 
@@ -98,6 +103,15 @@ def _weight_series(a: int, q: int, m: int) -> list[int]:
     return series
 
 
+@functools.cache
+def _eulerian_numerator(q: int) -> tuple[int, ...]:
+    """The coefficients c_0..c_q of the Eulerian numerator N_q(y) = sum_j c_j y^j."""
+    return tuple(
+        sum((-1) ** (j - i) * math.comb(q + 1, j - i) * i**q for i in range(j + 1))
+        for j in range(q + 1)
+    )
+
+
 def _times_weight_series(series: list[int], a: int, q: int, m: int) -> list[int]:
     """series * sum_l l^q x^(a l), truncated above x^m.
 
@@ -106,11 +120,11 @@ def _times_weight_series(series: list[int], a: int, q: int, m: int) -> list[int]
     Eulerian polynomial (N_0 = 1; Stanley, *Enumerative Combinatorics* 1,
     sec. 1.4).  So the series is multiplied by N_q(x^a), at most q+1
     shifted adds, and divided by (1 - x^a)^(q+1), q+1 running sums along
-    stride a in each residue class: O((q+1) m) operations.
+    stride a in each residue class: O((q+1) m) operations.  The c_j are
+    worked out once per q.
     """
     out = [0] * (m + 1)
-    for j in range(min(q, m // a) + 1):
-        c = sum((-1) ** (j - i) * math.comb(q + 1, j - i) * i**q for i in range(j + 1))
+    for j, c in enumerate(_eulerian_numerator(q)[: m // a + 1]):
         if c:
             shift = a * j
             out[shift:] = [x + c * y for x, y in zip(out[shift:], series)]
@@ -126,33 +140,38 @@ def _integer_power_sums(
     """prod_i p_i! * S_p(m) for each p, by integer series convolution.
 
     S_p(m) prod p_i! is the x^m coefficient of prod_i sum_l l^{p_i} x^{a_i l}.
-    The product of the first r-1 factors is memoized on the exponent prefix,
-    so vectors sharing a prefix share its convolutions; the first factor is
-    the series itself and the last one contributes only its x^m dot product.
+    The factors are split at s = r // 2 and each half's product is
+    memoized on its exponents, built from the product with one factor
+    fewer (a half's first factor is the series itself).  Vectors sharing a
+    half share its convolutions: over all |p| = n that is
+    sum_{k=2}^{s} C(n+k, k) + sum_{k=2}^{r-s} C(n+k, k) of them.  Each p
+    then costs one dot product of its head and reversed tail, which meet
+    at x^m; at r = 1 there is no head and the tail's x^m coefficient is read.
     """
     if m < 0:
         return [0] * len(vectors)
-    memo: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * m}
+    s = len(weights) // 2
 
-    def prefix_series(prefix: tuple[int, ...]) -> list[int]:
-        series = memo.get(prefix)
-        if series is None:
-            j = len(prefix) - 1
-            if j == 0:
-                series = _weight_series(weights[0], prefix[0], m)
-            else:
-                series = _times_weight_series(
-                    prefix_series(prefix[:-1]), weights[j], prefix[j], m
-                )
-            memo[prefix] = series
-        return series
+    def half_product(part: tuple[int, ...]) -> Callable[[tuple[int, ...]], list[int]]:
+        memo: dict[tuple[int, ...], list[int]] = {}
 
-    a = weights[-1]
-    sums = []
-    for p in vectors:
-        head = prefix_series(p[:-1])
-        sums.append(sum(l ** p[-1] * head[m - a * l] for l in range(m // a + 1)))
-    return sums
+        def product(exps: tuple[int, ...]) -> list[int]:
+            series = memo.get(exps)
+            if series is None:
+                j = len(exps) - 1
+                if j == 0:
+                    series = _weight_series(part[0], exps[0], m)
+                else:
+                    series = _times_weight_series(product(exps[:-1]), part[j], exps[j], m)
+                memo[exps] = series
+            return series
+
+        return product
+
+    head, tail = half_product(weights[:s]), half_product(weights[s:])
+    if not s:
+        return [tail(p)[m] for p in vectors]
+    return [sum(map(mul, head(p[:s]), reversed(tail(p[s:])))) for p in vectors]
 
 
 def power_sum(spec: SimplexSpec, powers: Sequence[int], m: int) -> Fraction:

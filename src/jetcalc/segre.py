@@ -21,7 +21,10 @@ and both sides are computed here from the composition power sums of
 :mod:`lattice`: the exact one from their values (integer generating-function
 convolution), the limit one from their growth coefficients
 gcd(a) / prod a_i^{p_i+1} (``lattice.power_sum_asymptotic``; Beck and
-Robins, *Computing the Continuous Discretely*, ch. 3-4).
+Robins, *Computing the Continuous Discretely*, ch. 3-4).  The polynomial
+sum_p S_p prod root_i^{p_i} is expanded once, in integers: each power of
+the roots is built from the one with one unit less times one root, fewer
+than C(n+r, r) of them, and no ``GradedPoly`` product is taken.
 
 Also included: the classical order-k jet-bundle surface coefficients
 (alpha_k, beta_k) with their degree-2 class (alpha_k c1^2 - beta_k c2)/k!,
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Sequence
 
 from . import lattice
@@ -151,22 +155,45 @@ def _root_polynomial(
     bundle: WeightedSplitBundle, n: int, table_of: Callable[[SimplexSpec], dict]
 ) -> GradedPoly:
     """sum over |p| = n of table[p] * prod root_i^{p_i}, where table is
-    ``table_of`` at the weights a_i of the roots in line order."""
+    ``table_of`` at the weights a_i of the roots in line order.
+
+    Expanded once, in integers: each root is scaled to integer numerators
+    over the lcm d_i of its denominators, and each prod root_i^{p_i} is kept
+    as exponents -> integer terms over prod d_i^{p_i}, memoized on p and
+    built from the vector with one unit less times one root.  With t terms
+    per root that is fewer than C(n+r, r) products of a power by one root,
+    each of at most t^n terms by t, and no ``GradedPoly`` product; the
+    terms enter one sum and one ``from_terms`` call.
+    """
     ring = bundle.ring
     if ring.bound < n:
         raise ValueError(f"ring bound {ring.bound} is below degree {n}")
     data = bundle.line_data()
     table = table_of(SimplexSpec(w for _, w in data))
-    result = ring.zero()
+    roots = [root._scaled() for root, _ in data]
+    powers = {(0,) * len(data): ({(0,) * len(ring.variables): 1}, 1)}
+
+    def power(p: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+        got = powers.get(p)
+        if got is None:
+            i = max(j for j, q in enumerate(p) if q)
+            terms, den = power(p[:i] + (p[i] - 1,) + p[i + 1 :])
+            root_terms, root_den = roots[i]
+            product: dict[tuple[int, ...], int] = {}
+            for e1, n1 in terms.items():
+                for e2, n2, _ in root_terms:
+                    exps = tuple(map(add, e1, e2))
+                    product[exps] = product.get(exps, 0) + n1 * n2
+            got = powers[p] = (product, den * root_den)
+        return got
+
+    sums: dict[tuple[int, ...], Fraction] = {}
     for p, value in table.items():
-        if value == 0:
-            continue
-        mono = ring.const(value)
-        for (root, _), q in zip(data, p):
-            for _ in range(q):
-                mono = mono * root
-        result = result + mono
-    return result
+        if value:
+            terms, den = power(p)
+            for exps, num in terms.items():
+                sums[exps] = sums.get(exps, 0) + value * num / den
+    return ring.from_terms(sums)
 
 
 def chi_leading_exact(bundle: WeightedSplitBundle, n: int, m: int) -> GradedPoly:

@@ -10,8 +10,10 @@ shifted copies (the oracle for its Eulerian-numerator product), cofactor
 determinants and Cramer's rule (the oracle for the exact elimination in
 ``lattice``), the term-by-term
 ``Fraction`` product of graded polynomials (the oracle for the
-integer-numerator product), a parser of rendered polynomial text (the
-oracle for ``render``), the whole-block Monte-Carlo tally (the oracle for
+integer-numerator product), the Euler leading polynomial by one
+``GradedPoly`` product per root factor (the oracle for the integer
+expansion of ``segre._root_polynomial``), a parser of rendered polynomial
+text (the oracle for ``render``), the whole-block Monte-Carlo tally (the oracle for
 the chunked tally of ``mc._tally_statistics``), the per-path
 Monte-Carlo index sum (the oracle for the level-wise path products of
 ``integrate_mc``), and the distinct edges of ``StratTree.edges()`` with a
@@ -32,6 +34,7 @@ from jetcalc import mc
 from jetcalc.integrands import MarkedSimplexProblem, MixedSignError
 from jetcalc.lattice import enumerate_compositions
 from jetcalc.ring import GradedPoly
+from jetcalc.segre import WeightedSplitBundle
 from jetcalc.simplex import AffineForm, SimplexSpec, monomial_moment
 from jetcalc.strat import (
     ChildEdge,
@@ -447,6 +450,29 @@ def naive_product(p: GradedPoly, q: GradedPoly) -> dict[tuple[int, ...], Fractio
             else:
                 terms.pop(exps, None)
     return terms
+
+
+def product_root_polynomial(
+    bundle: WeightedSplitBundle, n: int, table: dict[tuple[int, ...], Fraction]
+) -> GradedPoly:
+    """sum over p of table[p] * prod root_i^{p_i}, the roots of ``bundle`` in
+    line order, as one ``GradedPoly`` product per root factor of each
+    monomial (the oracle for the integer expansion in
+    ``segre._root_polynomial``)."""
+    ring = bundle.ring
+    if ring.bound < n:
+        raise ValueError(f"ring bound {ring.bound} is below degree {n}")
+    data = bundle.line_data()
+    result = ring.zero()
+    for p, value in table.items():
+        if value == 0:
+            continue
+        mono = ring.const(value)
+        for (root, _), q in zip(data, p):
+            for _ in range(q):
+                mono = mono * root
+        result = result + mono
+    return result
 
 
 def parse_rendered(

@@ -174,7 +174,7 @@ def power_sum_cases(draw):
 
 def test_power_sums_match_enumeration():
     # the convolution against the composition-enumeration oracle, for single
-    # vectors and for whole tables that share prefix products
+    # vectors and for whole tables that share the products of each half
     reached = set()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -184,6 +184,8 @@ def test_power_sums_match_enumeration():
     @example((SimplexSpec((1, 2)), (0, 0), 0, -1))
     @example((SimplexSpec((1, 7, 2)), (1, 0, 2), 2, 6))  # m below a middle weight
     @example((SimplexSpec((4,)), (0,), 0, 12))  # q = 0 at r = 1
+    @example((SimplexSpec((3, 5)), (2, 1), 2, 2))  # m below both weights at r = 2
+    @example((SimplexSpec((2, 1, 3, 1, 2)), (1, 0, 2, 0, 1), 4, 17))  # r = 5, degree 4
     @given(power_sum_cases())
     def check(case):
         spec, powers, degree, m = case
@@ -196,9 +198,13 @@ def test_power_sums_match_enumeration():
             "r=1" if spec.arity == 1 else "negative" if m < 0
             else "off-gcd" if m % spec.gcd() else "on-gcd"
         )
+        reached.add(f"arity {spec.arity}")
 
     check()
-    assert reached == {"r=1", "negative", "off-gcd", "on-gcd"}
+    # every arity 1..5 splits the factors into halves of other sizes
+    assert reached == {"r=1", "negative", "off-gcd", "on-gcd"} | {
+        f"arity {r}" for r in range(1, 6)
+    }
 
 
 def test_times_weight_series_matches_shifted_copies():

@@ -1,11 +1,15 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _helpers import forward_difference
-from jetcalc.ring import GradedRing
+from _helpers import forward_difference, product_root_polynomial
+from jetcalc import lattice
+from jetcalc.lattice import exponent_tuples, power_sum_asymptotic, power_sum_table
+from jetcalc.ring import GradedPoly, GradedRing
 from jetcalc.segre import (
     BundleFactor,
     EmptyBundleError,
@@ -20,6 +24,7 @@ from jetcalc.segre import (
     surface_ring,
     whitney_weighted,
 )
+from jetcalc.simplex import SimplexSpec
 
 
 def line_bundle_setup(weights, bound):
@@ -116,6 +121,96 @@ def test_whitney_consistency_higher_rank_factors():
     assert whitney_weighted(parts).component(2) == chi_leading_asymptotic(bundle, 2)
 
 
+COEFFS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
+
+
+@st.composite
+def root_bundles(draw):
+    """A random weighted split bundle with 1-3 factors of rank 1-3, whose
+    roots are Fraction combinations of 1-3 weight-1 variables in a ring
+    that also holds a weight-2 variable, with n in 0..bound and a level m."""
+    k, bound = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    names = [(f"x{i + 1}", 1) for i in range(k)]
+    names.insert(draw(st.integers(0, k)), ("c", 2))
+    ring = GradedRing(bound=bound, variables=tuple(names))
+    gens = [ring.gen(name) for name, w in names if w == 1]
+
+    def root():
+        return sum((g * draw(st.sampled_from(COEFFS)) for g in gens), ring.zero())
+
+    factors = tuple(
+        BundleFactor(roots=tuple(root() for _ in range(draw(st.integers(1, 3)))),
+                     weight=draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    return WeightedSplitBundle(factors), draw(st.integers(0, bound)), draw(st.integers(-1, 12))
+
+
+def test_root_polynomial_matches_ring_products():
+    # the integer expansion of both Euler polynomials against one GradedPoly
+    # product per root factor, on the same power-sum tables
+    reached = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(root_bundles())
+    def check(case):
+        bundle, n, m = case
+        spec = SimplexSpec(w for _, w in bundle.line_data())
+        table = power_sum_table(spec, n, m)
+        exact = chi_leading_exact(bundle, n, m)
+        assert exact == product_root_polynomial(bundle, n, table)
+        limits = {p: power_sum_asymptotic(spec, p) for p in exponent_tuples(n, spec.arity)}
+        assert chi_leading_asymptotic(bundle, n) == product_root_polynomial(bundle, n, limits)
+        roots = [root for root, _ in bundle.line_data()]
+        if any(len(list(root.items())) > 1 for root in roots):
+            reached.add("multi-term root")
+        if any(c.denominator > 1 for root in roots for _, c in root.items()):
+            reached.add("non-integer coefficient")
+        if n == 0:
+            reached.add("n=0")
+        terms = {e for p, value in table.items()
+                 for e, _ in product_root_polynomial(bundle, n, {p: value}).items()}
+        if any(exact.coefficient(e) == 0 for e in terms):
+            reached.add("cancelled monomial")
+
+    check()
+    assert reached == {"multi-term root", "non-integer coefficient", "n=0", "cancelled monomial"}
+
+
+@pytest.mark.parametrize(
+    "weights, n, bound", [((1, 1, 2, 3), 3, 20), ((1, 1, 2, 3, 5), 4, 65)]
+)
+def test_euler_polynomials_take_no_ring_products(monkeypatch, weights, n, bound):
+    # Work counts of the algorithm: the root polynomial is expanded in
+    # integers, and the power sums convolve each half of the factors split
+    # at s = r // 2 once per exponent prefix of length 2 and more.
+    _, bundle = line_bundle_setup(weights, n)
+    r = len(weights)
+    s = r // 2
+    assert bound == sum(
+        math.comb(n + k, k) for part in (s, r - s) for k in range(2, part + 1)
+    )
+    counts = Counter()
+
+    def spy(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(GradedPoly, "__mul__", "mul")
+    spy(GradedPoly, "__rmul__", "mul")
+    spy(lattice, "_times_weight_series", "series")
+    chi_leading_exact(bundle, n, 84)
+    assert counts["mul"] == 0
+    assert 0 < counts["series"] <= bound
+    chi_leading_asymptotic(bundle, n)
+    assert counts["mul"] == 0
+
+
 def _max_coeff(poly):
     values = [abs(c) for _, c in poly.items()]
     return max(values) if values else Fraction(0)
@@ -138,22 +233,17 @@ def test_chi_exact_converges_to_asymptotic():
 
 
 def test_chi_convergence_with_step_normalized_levels():
-    # When the level is a multiple of 120*lcm(a) (so every coordinate steps
-    # through at least 120 values), the scaled exact sums are within 5% of
-    # the limit in the max-coefficient norm, including the weight vectors
-    # whose corner coefficients converge slowest.
-    import math as _math
-
+    # On the levels m = 120*L + j*L, L = lcm(a), every coefficient of
+    # chi_leading_exact is one polynomial in m of degree d = n+r-1 (the
+    # power sums are quasi-polynomials with period dividing L), so its
+    # (d+1)-th difference vanishes and its d-th difference over L^d is the
+    # limit coefficient, exactly.
     for weights, n in [((2, 2, 3), 3), ((1, 2, 3), 2), ((1, 1, 1), 3)]:
         ring, bundle = line_bundle_setup(weights, n)
-        r = len(weights)
-        asym = chi_leading_asymptotic(bundle, n)
-        anorm = _max_coeff(asym)
-        m = 120 * _math.lcm(*weights)
-        scaled = chi_leading_exact(bundle, n, m) * Fraction(
-            _math.factorial(n + r - 1), m ** (n + r - 1)
-        )
-        assert _max_coeff(scaled - asym) / anorm <= Fraction(1, 20)
+        step, d = math.lcm(*weights), n + len(weights) - 1
+        values = [chi_leading_exact(bundle, n, 120 * step + j * step) for j in range(d + 2)]
+        assert forward_difference(values, d + 1).is_zero()
+        assert forward_difference(values, d) / step**d == chi_leading_asymptotic(bundle, n)
 
 
 def test_chi_deviation_at_fixed_gcd_levels_is_an_exact_subleading_term():
