@@ -61,11 +61,29 @@ def _float_text(x: float) -> str:
     return f"{x:.17g}"
 
 
+@functools.lru_cache(maxsize=32)
+def _parse_tree(text: str) -> strat.StratTree:
+    """The tree of a tree file's text, parsed once per distinct text.
+
+    Keyed on the whole text: an edited file is parsed again, and the same
+    text at another path is a hit.  A parse that raises is not stored.  A
+    hit returns the same tree object (trees are frozen, and no command
+    writes to one); the bound caps how many texts and trees a long-lived
+    process holds.
+    """
+    return strat.tree_from_dict(json.loads(text))
+
+
 def _load_tree(path: str) -> strat.StratTree:
+    """Read the tree file at ``path`` and parse it through ``_parse_tree``.
+
+    The file is read on every call, so in-process callers reuse the parse
+    of an unchanged text only; read and JSON errors name the path.
+    """
     try:
         with open(path) as handle:
-            data = json.load(handle)
-        return strat.tree_from_dict(data)
+            text = handle.read()
+        return _parse_tree(text)
     except OSError as err:
         raise strat.TreeStructureError(f"cannot read tree file {path!r}: {err}")
     except json.JSONDecodeError as err:
@@ -418,7 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except strat.TreeStructureError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

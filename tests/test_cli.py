@@ -345,16 +345,19 @@ def test_jet_bound_mc_json_reports_stderr(capsys, tmp_path):
     assert code == 0 and float(text) == data["coefficient"]
 
 
-def test_deep_tree_file_is_a_parse_error(capsys, tmp_path):
+def _deep_text(depth):
     # built as text: json.dump of so deep an object overflows too
-    depth = 5000
     root = '{"children": [{"markings": {"L": 1}, "node": ' * depth + '{"degree": 1}'
     root += "}]}" * depth
-    deep = tmp_path / "deep.json"
-    deep.write_text(
+    return (
         f'{{"dimension": {depth}, "bundles": [{{"label": "L", "denominator": 1}}], '
         f'"root": {root}}}'
     )
+
+
+def test_deep_tree_file_is_a_parse_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_deep_text(5000))
     code, out, err = run(capsys, "strat-degree", "--tree", str(deep), "--label", "L", "--upto", "0")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "nested too deeply" in err
@@ -550,3 +553,136 @@ def test_averaging_without_its_labels_is_a_domain_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert "averaging needs --tree, --labels, --aux and --whole" in err
+
+
+# -- the tree loader's parse cache --------------------------------------------
+
+# L + N = E on the one edge, so the averaging experiment accepts the tree too
+CACHED_TREE = {
+    "dimension": 1,
+    "bundles": [{"label": label, "denominator": 1} for label in "LNE"],
+    "root": {"children": [{"markings": {"L": 1, "N": 2, "E": 3}, "node": {"degree": 2}}]},
+}
+TREE_READERS = [
+    ["strat-degree", "--label", "E", "--upto", "1"],
+    ["strat-degree", "--label", "L", "--index", "0"],
+    ["strat-cmax", "--labels", "L,N", "--upto", "0"],
+    ["upsilon-integrate", "--labels", "L,N", "--a", "1,2", "--upto", "1"],
+    ["upsilon-integrate", "--labels", "L,N", "--a", "1,2", "--upto", "1", "--aux", "E",
+     "--mc", "--samples", "64", "--workers", "2"],
+    ["jet-bound", "--labels", "L", "--aux", "N", "--k", "2"],
+    ["mc-experiment", "--name", "averaging", "--labels", "L", "--aux", "N", "--whole", "E",
+     "--k-values", "1,2", "--samples", "64"],
+]
+
+
+def _degree_command(path):
+    return ["strat-degree", "--tree", str(path), "--label", "L", "--upto", "1"]
+
+
+def _one_edge_tree(marking):
+    """A one-edge tree of dimension 1 whose L degree is ``marking``."""
+    return {
+        "dimension": 1,
+        "bundles": [{"label": "L", "denominator": 1}],
+        "root": {"children": [{"markings": {"L": marking}, "node": {"degree": 1}}]},
+    }
+
+
+def test_every_tree_command_parses_a_file_once(capsys, tmp_path):
+    # one file read 3 times by each tree command: one parse, and each
+    # command prints the same bytes every time
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(CACHED_TREE))
+    cli._parse_tree.cache_clear()
+    for argv in TREE_READERS:
+        runs = {run(capsys, argv[0], "--tree", str(path), *argv[1:]) for _ in range(3)}
+        assert len(runs) == 1
+        (code, out, err), = runs
+        assert (code, err) == (0, "") and out
+    info = cli._parse_tree.cache_info()
+    assert (info.misses, info.hits) == (1, 3 * len(TREE_READERS) - 1)
+
+
+def test_same_text_at_two_paths_is_parsed_once(tmp_path):
+    text = json.dumps(CACHED_TREE)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(text)
+    second.write_text(text)
+    cli._parse_tree.cache_clear()
+    tree = cli._load_tree(str(first))
+    assert cli._load_tree(str(second)) is tree
+    assert tree == tree_from_dict(CACHED_TREE)
+    assert cli._parse_tree.cache_info().misses == 1
+
+
+def test_a_file_rewritten_in_place_is_read_again(capsys, tmp_path):
+    # same size, different marking: the text, not the path or the size, is the key
+    path = tmp_path / "tree.json"
+    cli._parse_tree.cache_clear()
+    for marking in (3, 5, 3):
+        path.write_text(json.dumps(_one_edge_tree(marking)))
+        assert run(capsys, *_degree_command(path)) == (0, str(marking), "")
+    assert cli._parse_tree.cache_info().misses == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "not valid JSON"),
+        (json.dumps({**_one_edge_tree(1), "bundles": []}), "unknown label 'L'"),
+        (_deep_text(5000), "nested too deeply"),
+        (None, "cannot read tree file"),
+    ],
+    ids=["invalid-json", "unknown-label", "depth-5000", "missing-path"],
+)
+def test_a_failed_parse_is_not_kept(capsys, tmp_path, text, message):
+    # each failure repeats with the same exit code and message, the file is
+    # parsed again every time, and once it is fixed the command succeeds
+    path = tmp_path / "tree.json"
+    if text is not None:
+        path.write_text(text)
+    cli._parse_tree.cache_clear()
+    first = run(capsys, *_degree_command(path))
+    assert first[:2] == (2, "") and message in first[2]
+    assert run(capsys, *_degree_command(path)) == first
+    info = cli._parse_tree.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0 if text is None else 2, 0, 0)
+    path.write_text(json.dumps(_one_edge_tree(7)))
+    assert run(capsys, *_degree_command(path)) == (0, "7", "")
+
+
+def test_more_files_than_the_cache_holds(capsys, tmp_path):
+    # one file more than the bound evicts the first; read again, it is
+    # parsed again and still gives its own value
+    size = cli._parse_tree.cache_parameters()["maxsize"]
+    cli._parse_tree.cache_clear()
+    paths = []
+    for marking in range(1, size + 2):
+        path = tmp_path / f"tree{marking}.json"
+        path.write_text(json.dumps(_one_edge_tree(marking)))
+        paths.append(path)
+        assert run(capsys, *_degree_command(path)) == (0, str(marking), "")
+    assert run(capsys, *_degree_command(paths[0])) == (0, "1", "")
+    info = cli._parse_tree.cache_info()
+    assert info.currsize == size and info.misses == size + 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["upsilon-integrate", "--tree", TREE, "--labels", "L", "--a", "1", "--upto", "0",
+          "--aux", "L", "--aux-scale", "1/0"], 2, "expected a rational like 3/4, got '1/0'"),
+        (["mc-experiment", "--name", "variance-bound", "--k", "0", "--d", "1"], 1,
+         "error: k and r must be >= 1\n"),
+    ],
+)
+def test_inputs_nearest_a_division_by_zero(capsys, argv, code, message):
+    # no handler divides by a value the user gives without checking it
+    # first, so main catches no ZeroDivisionError
+    try:
+        got = main(argv)
+    except SystemExit as exit_:
+        got = exit_.code
+    err = capsys.readouterr().err
+    assert got == code and message in err

@@ -18,8 +18,9 @@ paragraph names must exit 1 from its handler at least once; explicit
 examples back the ones the random stream reaches rarely.  The exact
 integrals also draw sign-changing argvs: coherent ones on a tree whose
 first edge form changes sign, which the random stream itself must carry
-to the sign-change refusal.  Values stay small so that every run is
-quick: at most 1024 samples and one or two workers.
+to the sign-change refusal.  An argv that names a tree file runs twice in
+the same process and must end the same way both times.  Values stay small
+so that every run is quick: at most 1024 samples and one or two workers.
 """
 
 import contextlib
@@ -441,8 +442,14 @@ SIGN_CHANGING_TREE = json.dumps(
 )
 
 
+# The last two examples are the inputs nearest a division by zero: a zero
+# --aux-scale denominator (argparse refuses it, exit 2) and a zero block
+# count k under the variance bound's 2/k^2 (a domain error, exit 1).
 EXAMPLES = {
-    "mc-experiment": [(["mc-experiment", "--name", "averaging", "--tree", "TREE"], AVERAGING_TREE)],
+    "mc-experiment": [
+        (["mc-experiment", "--name", "averaging", "--tree", "TREE"], AVERAGING_TREE),
+        (["mc-experiment", "--name", "variance-bound", "--k", "0", "--d", "1"], "3"),
+    ],
     "strat-degree": [(["strat-degree", "--tree", "TREE", "--label", "L", "--upto", "0"], "3")],
     "lattice-sum": [
         (["lattice-sum", "--a", "2,3", "--p=-2,0", "--asymptotic"], "3"),
@@ -452,7 +459,9 @@ EXAMPLES = {
     "whitney": [(["whitney", "--weights", "1,2", "--ranks", "0,1", "--bound", "2"], "3")],
     "upsilon-integrate": [
         (["upsilon-integrate", "--tree", "TREE", "--labels", "L,M", "--a", "1,1", "--upto", "0"],
-         SIGN_CHANGING_TREE)
+         SIGN_CHANGING_TREE),
+        (["upsilon-integrate", "--tree", "TREE", "--labels", "L,M", "--a", "1,1", "--upto", "0",
+          "--aux", "M", "--aux-scale", "1/0"], SIGN_CHANGING_TREE),
     ],
     "jet-bound": [
         (["jet-bound", "--tree", "TREE", "--labels", "L,M", "--aux", "M", "--k", "1"],
@@ -493,22 +502,34 @@ DOMAIN_ERRORS = {
 }
 
 
-def _run(argv, tree_text):
+def _run_once(argv):
     """(exit code, stdout, stderr, whether the handler was entered) of one
-    argv, with its TREE and MISSING tokens pointing at a temporary tree
-    file and a missing one.  ``main`` returns only from the handler that
-    the parser chose; a parse error leaves it through SystemExit."""
+    in-process run.  ``main`` returns only from the handler that the parser
+    chose; a parse error leaves it through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv), out.getvalue(), err.getvalue(), True
+        except SystemExit as exit_:
+            return exit_.code, out.getvalue(), err.getvalue(), False
+
+
+def _run(argv, tree_text):
+    """``_run_once`` of one argv, with its TREE and MISSING tokens pointing
+    at a temporary tree file and a missing one.  An argv that names a tree
+    file runs twice on the same files, and the second run must end exactly
+    as the first: the CLI keeps a file's parsed tree for the process, so a
+    command that changed a shared tree, or a failed parse that was kept,
+    would show here."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree.json"
         tree.write_text(tree_text)
         paths = {"TREE": str(tree), "MISSING": str(Path(tmp) / "missing.json")}
         argv = [paths.get(token, token) for token in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                return main(argv), out.getvalue(), err.getvalue(), True
-            except SystemExit as exit_:
-                return exit_.code, out.getvalue(), err.getvalue(), False
+        first = _run_once(argv)
+        if "--tree" in argv:
+            assert _run_once(argv) == first, argv
+        return first
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
